@@ -262,21 +262,11 @@ struct SystemConfig
     bool kernelFuse = defaultKernelFuse();
 
     /**
-     * Worker threads for the simulation kernel (--threads).  1 (the
-     * default) selects the sequential kernel; above 1 the system is
-     * partitioned into per-core shards plus an uncore shard and run
-     * on the shard-parallel kernel (src/sim/sharded_simulator.hh).
-     * Model results are bit-identical at any value — the determinism
-     * tests assert it.
-     */
-    unsigned kernelThreads = 1;
-
-    /**
      * Attach the cycle-attribution profiler (--profile): per-component
      * host-time accounting for ticks and owned events, reported to
      * stderr (and into bench JSON) after the run.  Observe-only —
-     * enabling it never changes any model statistic; the parallel
-     * determinism test asserts that at every worker count.
+     * enabling it never changes any model statistic; the determinism
+     * test asserts that.
      */
     bool profile = false;
 
@@ -408,24 +398,6 @@ struct SystemConfig
             return format("l1PrefetchPerThread.size() ({}) != "
                           "numProcessors ({})",
                           l1PrefetchPerThread.size(), numProcessors);
-        }
-        if (kernelThreads == 0)
-            return "--threads must be >= 1";
-        if (kernelThreads > 1) {
-            // The shard-parallel kernel's lookahead window is the
-            // cross-shard latency; zero latency means zero lookahead.
-            if (l2.interconnectLatency < 1 || l2.busBeatCycles < 1) {
-                return format("--threads > 1 needs interconnect and "
-                              "bus beat latencies >= 1 (got {} and {})",
-                              l2.interconnectLatency, l2.busBeatCycles);
-            }
-            if (verify.enabled())
-                return "--threads > 1 is incompatible with the verify "
-                       "layer (per-cycle audits assume the sequential "
-                       "kernel)";
-            if (!kernelSkip)
-                return "--threads > 1 requires kernel skipping (drop "
-                       "--no-skip)";
         }
         return "";
     }

@@ -23,23 +23,22 @@
  * allocation, no indirect call on the hot path.
  *
  * Legality (see DESIGN.md 5i): a chain may only be fused when (a) its
- * latency is constant for the lane's lifetime, (b) its handlers are
- * pure state writes that no other same-cycle event handler reads, and
- * (c) producer and consumer live on the same shard.  Chains that
- * arbitrate shared state inside the handler (tagDone/dataDone/busDone,
- * memory returns) stay on the event queue.
+ * latency is constant for the lane's lifetime and (b) its handlers are
+ * pure state writes that no other same-cycle event handler reads.
+ * Chains that arbitrate shared state inside the handler (tagDone/
+ * dataDone/busDone, memory returns) stay on the event queue.
  *
  * The kernel keeps a cached earliest-due cycle so lanes cost nothing
  * on cycles with no fused work: addFusedChain installs a due hook
  * (setDueHook) that push() min-updates, the kernel compares one Cycle
  * per executed cycle, and only a due drain touches the lanes at all.
  *
- * Counted lanes stand in for events the sharded kernel still fires as
- * real cross-shard events (crossbar transit, critical-word response):
- * their drains increment eventsFired and bill the profiler exactly as
- * the event path would, so kernel statistics stay comparable across
- * kernels.  Uncounted lanes (L1 hit completions) are fused identically
- * in both kernels and vanish from both counts symmetrically.
+ * Counted lanes (crossbar transit, critical-word response) increment
+ * eventsFired and bill the profiler exactly as the event path would.
+ * The kernel counters are an exact benchmark gate (events fired and
+ * wheel cascades are compared with perfbench/reference), so fusing
+ * these hops must not move them.  Uncounted lanes (L1 hit completions)
+ * never count; the recorded figures already exclude them.
  */
 
 #ifndef VPC_SIM_FUSED_CHAIN_HH

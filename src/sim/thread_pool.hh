@@ -2,11 +2,11 @@
  * @file
  * Persistent worker-thread pool shared by the parallel subsystems.
  *
- * Three distinct consumers need worker threads and previously grew
- * their own: the sweep harness (system/sweep.cc spawned ad-hoc
- * std::threads per parallelFor call), the benches (via sweep), and now
- * the shard-parallel simulation kernel (sim/sharded_simulator.hh).
- * This pool is the single implementation underneath all of them.
+ * Parallelism in this simulator is across independent runs: the sweep
+ * harness (system/sweep.cc, parallelFor), the benches (via sweep) and
+ * the sweep daemon's job lanes.  One run is always serial (a single
+ * Simulator).  This pool is the single worker implementation
+ * underneath all of them.
  *
  * Model:
  *
@@ -19,9 +19,8 @@
  *    participates as a worker, so a pool of W threads serves a
  *    dispatch with up to W + 1 lanes, and dispatch works (serially)
  *    even on a pool with no threads at all.
- *  - Tasks may be long-running cooperative loops (the sharded kernel
- *    dispatches one task per kernel worker) or short jobs pulled from
- *    the shared counter (parallelFor) — the pool does not care.
+ *  - Tasks may be long-running loops or short jobs pulled from the
+ *    shared counter (parallelFor) — the pool does not care.
  *  - If tasks throw, every remaining task still runs and the first
  *    exception (by completion order) is rethrown on the caller.
  *

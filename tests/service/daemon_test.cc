@@ -28,6 +28,7 @@
 #include "sim/format.hh"
 #include "system/experiment.hh"
 #include "system/options.hh"
+#include "temp_path.hh"
 
 namespace vpc
 {
@@ -37,10 +38,7 @@ namespace
 std::string
 testDir(const std::string &name)
 {
-    std::string dir =
-        format("{}/vpc_daemon_{}", ::testing::TempDir(), name);
-    std::filesystem::remove_all(dir);
-    return dir;
+    return testTempPath("vpc_daemon_" + name);
 }
 
 /** A cheap two-thread job; @p seed varies the content identity. */

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "service/job_codec.hh"
+#include "sim/format.hh"
 #include "system/experiment.hh"
 #include "system/options.hh"
 
@@ -103,6 +104,18 @@ TEST(JobCodec, RejectsDamage)
     EXPECT_FALSE(decodeJob("", out));
     EXPECT_FALSE(decodeJob("not a record", out));
     EXPECT_FALSE(decodeJob("{\"svc_schema\": 999}", out));
+
+    // The previous schema (2): its number, and its extra config
+    // scalar (the retired kernel thread count).
+    std::string tag = format("\"svc_schema\": {},", kJobCodecSchema);
+    pos = text.find(tag);
+    ASSERT_NE(pos, std::string::npos);
+    std::string old_schema = text;
+    old_schema.replace(pos, tag.size(), "\"svc_schema\": 2,");
+    EXPECT_FALSE(decodeJob(old_schema, out));
+    std::string old_cfg = text;
+    old_cfg.insert(old_cfg.find("\"cfg\": [") + 8, "1, ");
+    EXPECT_FALSE(decodeJob(old_cfg, out));
 }
 
 TEST(JobCodec, RejectsInsaneConfigWithoutDying)

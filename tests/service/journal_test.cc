@@ -16,6 +16,7 @@
 
 #include "service/journal.hh"
 #include "sim/format.hh"
+#include "temp_path.hh"
 
 namespace vpc
 {
@@ -25,13 +26,11 @@ namespace
 std::string
 testPath(const std::string &name)
 {
-    std::string path =
-        format("{}/vpc_journal_{}.log", ::testing::TempDir(), name);
-    std::remove(path.c_str());
-    // Sweep sealed segments from a previous run of the same test.
-    for (int i = 1; i < 64; ++i)
-        std::remove(format("{}.{}", path, i).c_str());
-    return path;
+    // A directory per test, so sealed segments (<path>.N) are
+    // removed with it.
+    std::string dir = testTempPath("vpc_journal_" + name);
+    std::filesystem::create_directories(dir);
+    return dir + "/journal.log";
 }
 
 TEST(JobJournal, AppendThenReplay)

@@ -25,6 +25,7 @@
 #include "sim/format.hh"
 #include "system/experiment.hh"
 #include "system/options.hh"
+#include "temp_path.hh"
 
 #include <filesystem>
 
@@ -49,9 +50,7 @@ tinyJob(std::uint64_t seed)
 TEST(ServiceSaturation, ThousandTinyJobsCompleteExactlyOnce)
 {
     const std::size_t kJobs = 1'000;
-    std::string dir = format("{}/vpc_daemon_saturation",
-                             ::testing::TempDir());
-    std::filesystem::remove_all(dir);
+    std::string dir = testTempPath("vpc_saturation");
 
     ServiceClient client(dir);
     std::vector<std::uint64_t> digests;

@@ -31,6 +31,7 @@
 #include "sim/format.hh"
 #include "system/experiment.hh"
 #include "system/options.hh"
+#include "temp_path.hh"
 
 #if defined(__SANITIZE_THREAD__)
 #define VPC_TSAN 1
@@ -53,10 +54,7 @@ namespace fs = std::filesystem;
 std::string
 testDir(const std::string &name)
 {
-    std::string dir =
-        format("{}/vpc_recovery_{}", ::testing::TempDir(), name);
-    fs::remove_all(dir);
-    return dir;
+    return testTempPath("vpc_recovery_" + name);
 }
 
 /** A cheap two-thread job; @p seed varies the content identity. */

@@ -17,6 +17,7 @@
 
 #include "service/spool.hh"
 #include "sim/format.hh"
+#include "temp_path.hh"
 
 namespace vpc
 {
@@ -28,10 +29,7 @@ namespace fs = std::filesystem;
 std::string
 testDir(const std::string &name)
 {
-    std::string dir =
-        format("{}/vpc_spool_{}", ::testing::TempDir(), name);
-    fs::remove_all(dir);
-    return dir;
+    return testTempPath("vpc_spool_" + name);
 }
 
 TEST(JobSpool, SubmitClaimDoneLifecycle)

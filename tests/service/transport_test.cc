@@ -23,6 +23,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/types.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -36,6 +37,7 @@
 #include "sim/format.hh"
 #include "system/experiment.hh"
 #include "system/options.hh"
+#include "temp_path.hh"
 
 #if defined(__SANITIZE_THREAD__)
 #define VPC_TSAN 1
@@ -58,10 +60,7 @@ namespace fs = std::filesystem;
 std::string
 testDir(const std::string &name)
 {
-    std::string dir =
-        format("{}/vpc_transport_{}", ::testing::TempDir(), name);
-    fs::remove_all(dir);
-    return dir;
+    return testTempPath("vpc_transport_" + name);
 }
 
 /** A cheap two-thread job; @p seed varies the content identity. */
@@ -365,9 +364,9 @@ TEST(Transport, HardCapOverflowMidFrameIsDroppedSafely)
 {
     // Regression drill for the connection-lifetime contract: a Watch
     // flood for settled digests makes the server queue reply frames
-    // far faster than the (never reading) peer drains them, so the
-    // write queue crosses the hard cap *inside* the Watch handler's
-    // enqueue loop.  The server must condemn the connection without
+    // far faster than the peer drains them (it reads nothing until
+    // the drop), so the write queue crosses the hard cap *inside* the
+    // Watch handler's enqueue loop.  The server must condemn the connection without
     // destroying it under the handler's feet (historically a
     // use-after-free) and keep serving other peers.
     std::string dir = testDir("hardcap");
@@ -393,6 +392,11 @@ TEST(Transport, HardCapOverflowMidFrameIsDroppedSafely)
     auto rawConnect = [&]() {
         int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
         EXPECT_GE(fd, 0);
+        // A regression must fail the test, not hang it in recv().
+        timeval tv{};
+        tv.tv_sec = 10;
+        EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv,
+                               sizeof(tv)), 0);
         sockaddr_un addr{};
         addr.sun_family = AF_UNIX;
         std::memcpy(addr.sun_path, tc.socketPath.c_str(),
@@ -418,16 +422,26 @@ TEST(Transport, HardCapOverflowMidFrameIsDroppedSafely)
     ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(frame.size()));
 
-    // Drain whatever the server managed to push: it must end in EOF
-    // (dropped connection), never a wedged or crashed server.
+    // Read nothing until the server drops the connection.  Reading
+    // earlier lets the opportunistic flush keep the queue under the
+    // cap, and then no drop ever happens.
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.stats().dropped.load() < 1 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_GE(server.stats().dropped.load(), 1u)
+        << "server should drop the overflowed connection";
+
+    // Drain whatever the server managed to push: it must end in EOF,
+    // never a wedged or crashed server.
     char buf[64 * 1024];
     ssize_t n;
     do {
         n = ::recv(fd, buf, sizeof(buf), 0);
     } while (n > 0);
-    EXPECT_EQ(n, 0) << "server should drop the overflowed connection";
+    EXPECT_EQ(n, 0) << "dropped connection should read as EOF";
     ::close(fd);
-    EXPECT_GE(server.stats().dropped.load(), 1u);
 
     // The event loop survived: a fresh peer completes the handshake.
     int fd2 = rawConnect();

@@ -38,14 +38,15 @@ struct RunDump
     KernelStats kernel;
 };
 
-/** Build, run, and dump one system with the given kernel mode. */
+/** Build, run for @p cycles, and dump one system in one kernel mode. */
 RunDump
 runOnce(SystemConfig cfg,
-        std::vector<std::unique_ptr<Workload>> workloads, bool skip)
+        std::vector<std::unique_ptr<Workload>> workloads, bool skip,
+        Cycle cycles = kWarmup + kMeasure)
 {
     cfg.kernelSkip = skip;
     CmpSystem sys(cfg, std::move(workloads));
-    sys.run(kWarmup + kMeasure);
+    sys.run(cycles);
     RunDump d;
     std::ostringstream os;
     dumpStats(sys, os, sys.now());
@@ -68,10 +69,10 @@ specMix(const std::vector<std::string> &names)
 void
 expectIdentical(const SystemConfig &cfg,
                 const std::vector<std::string> &spec_names,
-                const char *label)
+                const char *label, Cycle cycles = kWarmup + kMeasure)
 {
-    RunDump skip = runOnce(cfg, specMix(spec_names), true);
-    RunDump naive = runOnce(cfg, specMix(spec_names), false);
+    RunDump skip = runOnce(cfg, specMix(spec_names), true, cycles);
+    RunDump naive = runOnce(cfg, specMix(spec_names), false, cycles);
     EXPECT_EQ(skip.end, naive.end) << label;
     EXPECT_EQ(skip.stats, naive.stats) << label;
     EXPECT_EQ(skip.state, naive.state) << label;
@@ -160,6 +161,32 @@ TEST(SkipDifferential, MicrobenchLoadsStores)
     RunDump naive = runOnce(cfg, build(), false);
     EXPECT_EQ(skip.stats, naive.stats);
     EXPECT_EQ(skip.state, naive.state);
+}
+
+/** Cycle a scaled machine's threads through a heterogeneous mix. */
+std::vector<std::string>
+scaledMix(unsigned procs)
+{
+    const char *const names[] = {"art",  "mcf",  "mesa", "crafty",
+                                 "gzip", "swim", "vpr",  "gcc"};
+    std::vector<std::string> mix;
+    for (unsigned t = 0; t < procs; ++t)
+        mix.push_back(names[t % 8]);
+    return mix;
+}
+
+// The big-machine bench configurations (bench_scaleup), at run
+// lengths short enough for tier-1.
+TEST(SkipDifferential, ScaledCmp16)
+{
+    expectIdentical(makeScaledCmpConfig(16, ArbiterPolicy::Vpc),
+                    scaledMix(16), "scaled-16", 16'000);
+}
+
+TEST(SkipDifferential, ScaledCmp32)
+{
+    expectIdentical(makeScaledCmpConfig(32, ArbiterPolicy::Vpc),
+                    scaledMix(32), "scaled-32", 10'000);
 }
 
 TEST(SkipDifferential, SkippingActuallySkips)

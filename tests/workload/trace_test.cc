@@ -11,6 +11,7 @@
 #include "workload/microbench.hh"
 #include "workload/spec2000.hh"
 #include "workload/trace.hh"
+#include "temp_path.hh"
 
 namespace vpc
 {
@@ -22,7 +23,7 @@ class TraceTest : public ::testing::Test
   protected:
     TraceTest()
     {
-        path = testing::TempDir() + "vpc_trace_test.txt";
+        path = testTempPath("vpc_trace");
     }
 
     ~TraceTest() override { std::remove(path.c_str()); }

@@ -22,6 +22,7 @@
 #include "workload/spec2000.hh"
 #include "workload/trace.hh"
 #include "workload/workload.hh"
+#include "temp_path.hh"
 
 namespace vpc
 {
@@ -130,8 +131,7 @@ TEST(WorkloadBlock, SpecRebuildMatchesTargetClone)
 
 TEST(WorkloadBlock, TraceReplayAndBlocksAcrossWrap)
 {
-    std::string path = format("{}/vpc_block_trace_test.trace",
-                              ::testing::TempDir());
+    std::string path = testTempPath("vpc_block_trace");
     {
         TraceRecorder rec(makeSpec2000("art", 0, 3), path);
         drainNext(rec, 3'000);
