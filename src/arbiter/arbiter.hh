@@ -58,6 +58,7 @@ class Arbiter
     enqueue(const ArbRequest &req, Cycle now)
     {
         ++enqueues_.at(req.thread);
+        ++live_;
         doEnqueue(req, now);
     }
 
@@ -71,8 +72,12 @@ class Arbiter
      */
     virtual std::optional<ArbRequest> select(Cycle now) = 0;
 
-    /** @return true if any request is waiting. */
-    virtual bool hasPending() const = 0;
+    /**
+     * @return true if any request is waiting.  Non-virtual: the base
+     * class keeps the live count (enqueues less grants and drops),
+     * which the resources test several times per cycle.
+     */
+    bool hasPending() const { return live_ != 0; }
 
     /** @return total requests waiting across all threads. */
     virtual std::size_t pendingCount() const = 0;
@@ -108,20 +113,34 @@ class Arbiter
      *
      * @return true if a request was dropped
      */
-    virtual bool faultDropOldest(ThreadId t) { (void)t; return false; }
+    bool
+    faultDropOldest(ThreadId t)
+    {
+        if (!doFaultDropOldest(t))
+            return false;
+        --live_;
+        return true;
+    }
 
   protected:
     /** Policy-specific admission; called by enqueue(). */
     virtual void doEnqueue(const ArbRequest &req, Cycle now) = 0;
-    /** Record a grant for stats; call from select() implementations. */
+    /** Policy-specific drop; called by faultDropOldest(). */
+    virtual bool doFaultDropOldest(ThreadId t) { (void)t; return false; }
+    /**
+     * Record a grant for stats and the live count; every select()
+     * implementation calls it once per request it removes.
+     */
     void
     recordGrant(const ArbRequest &req, Cycle now)
     {
         ++grants_.at(req.thread);
+        --live_;
         queueDelay_.sample(static_cast<double>(now - req.arrival));
     }
 
   private:
+    std::size_t live_ = 0; //!< requests waiting, all threads
     unsigned numThreads_;
     std::vector<std::uint64_t> grants_;
     std::vector<std::uint64_t> enqueues_;

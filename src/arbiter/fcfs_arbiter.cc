@@ -20,7 +20,7 @@ FcfsArbiter::doEnqueue(const ArbRequest &req, Cycle now)
 }
 
 bool
-FcfsArbiter::faultDropOldest(ThreadId t)
+FcfsArbiter::doFaultDropOldest(ThreadId t)
 {
     for (std::size_t i = 0; i < queue.size(); ++i) {
         if (queue[i].thread == t) {
@@ -42,12 +42,6 @@ FcfsArbiter::select(Cycle now)
     --perThread[req.thread];
     recordGrant(req, now);
     return req;
-}
-
-bool
-FcfsArbiter::hasPending() const
-{
-    return !queue.empty();
 }
 
 std::size_t

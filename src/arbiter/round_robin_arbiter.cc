@@ -20,7 +20,7 @@ RoundRobinArbiter::doEnqueue(const ArbRequest &req, Cycle now)
 }
 
 bool
-RoundRobinArbiter::faultDropOldest(ThreadId t)
+RoundRobinArbiter::doFaultDropOldest(ThreadId t)
 {
     if (queues.at(t).empty())
         return false;
@@ -47,12 +47,6 @@ RoundRobinArbiter::select(Cycle now)
     }
     vpc_panic("RR arbiter inconsistent: total={} but all queues empty",
               total);
-}
-
-bool
-RoundRobinArbiter::hasPending() const
-{
-    return total != 0;
 }
 
 std::size_t

@@ -24,14 +24,13 @@ class RoundRobinArbiter : public Arbiter
     explicit RoundRobinArbiter(unsigned num_threads);
 
     std::optional<ArbRequest> select(Cycle now) override;
-    bool hasPending() const override;
     std::size_t pendingCount() const override;
     std::size_t pendingCount(ThreadId t) const override;
     std::string name() const override { return "RoundRobin"; }
-    bool faultDropOldest(ThreadId t) override;
 
   protected:
     void doEnqueue(const ArbRequest &req, Cycle now) override;
+    bool doFaultDropOldest(ThreadId t) override;
 
   private:
     std::vector<SmallRing<ArbRequest>> queues;

@@ -21,7 +21,7 @@ RowFcfsArbiter::doEnqueue(const ArbRequest &req, Cycle now)
 }
 
 bool
-RowFcfsArbiter::faultDropOldest(ThreadId t)
+RowFcfsArbiter::doFaultDropOldest(ThreadId t)
 {
     for (std::size_t i = 0; i < queue.size(); ++i) {
         if (queue[i].thread == t) {
@@ -49,12 +49,6 @@ RowFcfsArbiter::select(Cycle now)
     --perThread[req.thread];
     recordGrant(req, now);
     return req;
-}
-
-bool
-RowFcfsArbiter::hasPending() const
-{
-    return !queue.empty();
 }
 
 std::size_t

@@ -30,14 +30,13 @@ class RowFcfsArbiter : public Arbiter
     explicit RowFcfsArbiter(unsigned num_threads);
 
     std::optional<ArbRequest> select(Cycle now) override;
-    bool hasPending() const override;
     std::size_t pendingCount() const override;
     std::size_t pendingCount(ThreadId t) const override;
     std::string name() const override { return "RoW-FCFS"; }
-    bool faultDropOldest(ThreadId t) override;
 
   protected:
     void doEnqueue(const ArbRequest &req, Cycle now) override;
+    bool doFaultDropOldest(ThreadId t) override;
 
   private:
     SmallRing<ArbRequest> queue;

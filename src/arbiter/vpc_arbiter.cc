@@ -5,6 +5,7 @@
 
 #include "arbiter/row_scan.hh"
 
+#include "sim/config.hh"
 #include "sim/debug.hh"
 #include "sim/logging.hh"
 #include "sim/vec.hh"
@@ -36,6 +37,8 @@ VpcArbiter::VpcArbiter(unsigned num_threads, Cycle service_latency,
         vpc_fatal("VpcArbiter: resource latency must be > 0");
     if (writeMult == 0)
         vpc_fatal("VpcArbiter: write multiplier must be > 0");
+    // SystemConfig::check() bounds the machine by this mask.
+    static_assert(SystemConfig::kMaxProcessors <= kMaxThreads);
     if (num_threads > kMaxThreads)
         vpc_fatal("VpcArbiter: {} threads exceeds the {}-thread "
                   "active-mask limit", num_threads, kMaxThreads);
@@ -60,7 +63,7 @@ VpcArbiter::setShare(ThreadId t, double phi)
 }
 
 bool
-VpcArbiter::faultDropOldest(ThreadId t)
+VpcArbiter::doFaultDropOldest(ThreadId t)
 {
     SmallRing<ArbRequest> &buf = buffers_.at(t);
     if (buf.empty())
@@ -185,12 +188,6 @@ VpcArbiter::select(Cycle now)
                 now, best_t, req.seq, best_f, rs_[best_t]);
     recordGrant(req, now);
     return req;
-}
-
-bool
-VpcArbiter::hasPending() const
-{
-    return total != 0;
 }
 
 std::size_t

@@ -104,12 +104,10 @@ class VpcArbiter : public Arbiter
                const VpcArbiterOptions &opts = {});
 
     std::optional<ArbRequest> select(Cycle now) override;
-    bool hasPending() const override;
     std::size_t pendingCount() const override;
     std::size_t pendingCount(ThreadId t) const override;
     void setShare(ThreadId t, double phi) override;
     std::string name() const override { return "VPC"; }
-    bool faultDropOldest(ThreadId t) override;
 
     /** @return thread @p t's current share phi_t. */
     double share(ThreadId t) const { return phi_.at(t); }
@@ -151,6 +149,7 @@ class VpcArbiter : public Arbiter
 
   protected:
     void doEnqueue(const ArbRequest &req, Cycle now) override;
+    bool doFaultDropOldest(ThreadId t) override;
 
     /** Hard cap on threads per arbiter (the active set is a mask). */
     static constexpr unsigned kMaxThreads = 64;

@@ -6,12 +6,16 @@
 #include "cache/replacement.hh"
 #include "sim/debug.hh"
 #include "sim/logging.hh"
+#include "sim/vec.hh"
 
 namespace vpc
 {
 
 namespace
 {
+
+/** smLine_ value of an idle state machine (no line is all-ones). */
+constexpr Addr kIdleLine = ~Addr{0};
 
 /** Build this bank's replacement policy from the configuration. */
 std::unique_ptr<ReplacementPolicy>
@@ -56,6 +60,7 @@ L2Bank::L2Bank(const SystemConfig &cfg_, unsigned bank_index,
       ports(num_threads),
       sms(static_cast<std::size_t>(num_threads) *
           cfg_.l2.stateMachinesPerThread),
+      smLine_(sms.size() + vec::kWidth64 - 1, kIdleLine),
       smsInUse(num_threads, 0)
 {
     sgbs.reserve(num_threads);
@@ -119,10 +124,11 @@ L2Bank::L2Bank(const SystemConfig &cfg_, unsigned bank_index,
             Cycle critical = start + cfg.l2.busBeatCycles;
             if (respLane != nullptr) {
                 respLane->push(critical, events.profileContext(),
-                               RespMsg{this, sm.thread, sm.lineAddr});
+                               RespMsg{this, sm.thread,
+                                       smLine_[req.id]});
             } else {
                 events.schedule(critical,
-                    [this, t = sm.thread, la = sm.lineAddr]() {
+                    [this, t = sm.thread, la = smLine_[req.id]]() {
                         if (respond)
                             respond(t, la);
                     });
@@ -162,15 +168,13 @@ L2Bank::loadArrive(ThreadId t, Addr line_addr, Cycle now,
     ports.at(t).loadQueue.push_back(PendingLoad{line_addr, prefetch});
 }
 
-int
+unsigned
 L2Bank::allocSm(ThreadId t)
 {
-    if (smsInUse[t] >= cfg.l2.stateMachinesPerThread)
-        return -1;
     unsigned base = t * cfg.l2.stateMachinesPerThread;
     for (unsigned i = 0; i < cfg.l2.stateMachinesPerThread; ++i) {
         if (!sms[base + i].busy)
-            return static_cast<int>(base + i);
+            return base + i;
     }
     vpc_panic("SM accounting out of sync for thread {}", t);
 }
@@ -178,8 +182,13 @@ L2Bank::allocSm(ThreadId t)
 bool
 L2Bank::lineConflict(Addr line_addr) const
 {
-    for (const Sm &sm : sms) {
-        if (sm.busy && sm.lineAddr == line_addr)
+    // Idle machines hold kIdleLine, so an equal line is a busy one.
+    // Chunks of 64 start on vector boundaries; only the last may
+    // overread, into the plane's padding.
+    for (std::size_t i = 0; i < sms.size(); i += 64) {
+        auto n = static_cast<unsigned>(
+            std::min<std::size_t>(64, sms.size() - i));
+        if (vec::eqMask64(smLine_.data() + i, n, line_addr) != 0)
             return true;
     }
     return false;
@@ -197,7 +206,7 @@ L2Bank::requestResource(SharedResource &res, unsigned sm_idx,
     req.isPrefetch = sm.isPrefetch;
     req.arrival = now;
     req.seq = nextSeq++;
-    req.lineAddr = sm.lineAddr;
+    req.lineAddr = smLine_[sm_idx];
     res.request(req, now);
 }
 
@@ -237,6 +246,10 @@ L2Bank::tryAdmit(ThreadId t, Cycle now)
         return false;
     }
 
+    // No state machine of the thread is free: nothing can admit.
+    if (smsInUse[t] >= cfg.l2.stateMachinesPerThread)
+        return false;
+
     // The tag pipeline touches this line's set a few cycles from now;
     // start pulling its plane rows into the host cache already.
     tags.prefetchSet(line_addr);
@@ -246,14 +259,11 @@ L2Bank::tryAdmit(ThreadId t, Cycle now)
     if (lineConflict(line_addr))
         return false;
 
-    int idx = allocSm(t);
-    if (idx < 0)
-        return false;
-
+    unsigned idx = allocSm(t);
     Sm &sm = sms[idx];
     sm.busy = true;
     sm.thread = t;
-    sm.lineAddr = line_addr;
+    smLine_[idx] = line_addr;
     sm.isWrite = is_write;
     sm.isPrefetch = !is_write && load_ready && load_prefetch;
     sm.fill = false;
@@ -285,7 +295,7 @@ L2Bank::tagDone(unsigned sm_idx, Cycle now)
 
     if (sm.fill) {
         // Fill tag update: install the line, displacing a victim.
-        Eviction ev = tags.insert(sm.lineAddr, sm.thread, sm.isWrite);
+        Eviction ev = tags.insert(smLine_[sm_idx], sm.thread, sm.isWrite);
         if (ev.valid && ev.dirty) {
             sm.victimDirty = true;
             sm.victimAddr = ev.lineAddr;
@@ -296,13 +306,13 @@ L2Bank::tagDone(unsigned sm_idx, Cycle now)
         return;
     }
 
-    bool hit = tags.lookup(sm.lineAddr, true, sm.thread);
+    bool hit = tags.lookup(smLine_[sm_idx], true, sm.thread);
     VPC_DPRINTF(L2Bank, "[{}] bank{} tagDone sm{} {:#x} {}", now,
-                bankIndex, sm_idx, sm.lineAddr,
+                bankIndex, sm_idx, smLine_[sm_idx],
                 hit ? "hit" : "miss");
     if (hit) {
         if (sm.isWrite) {
-            tags.markDirty(sm.lineAddr, sm.thread);
+            tags.markDirty(smLine_[sm_idx], sm.thread);
             requestResource(*dataRes, sm_idx, true, now);
         } else if (rcqOccupancy < cfg.l2.readClaimEntries) {
             // The read-claim queue holds lines between the data array
@@ -326,7 +336,7 @@ L2Bank::startMemAccess(unsigned sm_idx, Cycle now)
         deferredMem.push_back(sm_idx);
         return;
     }
-    mem.read(sm.thread, sm.lineAddr, now,
+    mem.read(sm.thread, smLine_[sm_idx], now,
              [this, sm_idx](Addr, Cycle done) {
                  memReturn(sm_idx, done);
              });
@@ -349,7 +359,7 @@ L2Bank::memReturn(unsigned sm_idx, Cycle now)
     // The fill's tag install is a tag-state read-modify-write; it
     // revisits the set after the tag-array grant, so prefetch the
     // set's plane rows now.
-    tags.prefetchSet(sm.lineAddr);
+    tags.prefetchSet(smLine_[sm_idx]);
     requestResource(*tagRes, sm_idx, true, now);
 }
 
@@ -414,6 +424,7 @@ L2Bank::finishLeg(unsigned sm_idx)
         vpc_panic("finishLeg with no pending ops on SM {}", sm_idx);
     if (--sm.pendingOps == 0) {
         sm.busy = false;
+        smLine_[sm_idx] = kIdleLine;
         --smsInUse[sm.thread];
     }
 }
@@ -449,13 +460,16 @@ L2Bank::tick(Cycle now)
     // With no queued load and an empty gathering buffer a thread has
     // no candidate and tryAdmit() is a side-effect-free false, so the
     // inline emptiness check skips the call entirely.
-    for (unsigned i = 0; i < numThreads; ++i) {
-        ThreadId t = (admissionRR + i) % numThreads;
+    auto after = [this](ThreadId t) -> ThreadId {
+        return t + 1 == numThreads ? 0 : t + 1;
+    };
+    ThreadId t = admissionRR;
+    for (unsigned i = 0; i < numThreads; ++i, t = after(t)) {
         const ThreadPort &port = ports[t];
         if (port.loadQueue.empty() && port.sgb->empty())
             continue;
         if (tryAdmit(t, now)) {
-            admissionRR = (t + 1) % numThreads;
+            admissionRR = after(t);
             break;
         }
     }

@@ -205,7 +205,6 @@ class L2Bank
     {
         bool busy = false;
         ThreadId thread = 0;
-        Addr lineAddr = 0;
         bool isWrite = false;
         bool isPrefetch = false;  //!< prefetch-generated load
         bool fill = false;        //!< processing a memory return
@@ -234,8 +233,8 @@ class L2Bank
     /** One admission attempt from thread @p t. @return admitted. */
     bool tryAdmit(ThreadId t, Cycle now);
 
-    /** Allocate a state machine for thread @p t, or -1 if none free. */
-    int allocSm(ThreadId t);
+    /** @return a free state machine of thread @p t (one must be free). */
+    unsigned allocSm(ThreadId t);
 
     /** Release state machine @p sm_idx when its last leg completes. */
     void finishLeg(unsigned sm_idx);
@@ -272,6 +271,12 @@ class L2Bank
     std::vector<StoreGatherBuffer> sgbs;
     std::vector<ThreadPort> ports;
     std::vector<Sm> sms;
+    /**
+     * Line address of each state machine, ~Addr{0} while it is idle:
+     * the plane lineConflict() compares in one vector sweep.  Padded
+     * to a whole vector (vec.hh's "padded" contract).
+     */
+    std::vector<Addr> smLine_;
     std::vector<unsigned> smsInUse; //!< per-thread active SM count
 
     std::unique_ptr<SharedResource> tagRes;

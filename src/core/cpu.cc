@@ -1,5 +1,7 @@
 #include "core/cpu.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace vpc
@@ -11,7 +13,9 @@ Cpu::Cpu(const CoreConfig &cfg_, ThreadId thread_, Workload &workload_,
       l2(l2_), rng(0xc0ffee + thread_, 0xabcd1234 + thread_),
       lsuRejectB_(cfg.lsuRejectProb)
 {
-    waitQ_.reserve(cfg.loadQueueEntries);
+    if (cfg.loadQueueEntries > loadSlot_.size())
+        vpc_panic("{} load queue entries exceed the {}-bit ready mask",
+                  cfg.loadQueueEntries, loadSlot_.size());
 }
 
 Cycle
@@ -26,9 +30,10 @@ Cpu::nextWork(Cycle now) const
             head.state == State::Done)
             return now;
     }
-    // Issue scans for waiting loads; any such load consumes a port
-    // and may draw from the RNG, even if it ends up rejected.
-    if (!waitQ_.empty())
+    // Any waiting load keeps the core due, ready or not: a ready one
+    // consumes a port and may draw from the RNG even if it ends up
+    // rejected.
+    if (waitingLoads_ != 0)
         return now;
     // Dispatch acts unless structurally blocked with the next op
     // already in the block buffer (an empty buffer means dispatch
@@ -80,49 +85,32 @@ Cpu::retireStage(Cycle now)
                 break;
             loads.inc();
             --loadsInRob;
+            ++headLoadIdx_;
         } else if (head.state != State::Done) {
             break;
         }
         retired.inc();
         rob.pop_front();
     }
-    oldestInRob = rob.empty() ? nextSeq : rob.front().seq;
-}
-
-bool
-Cpu::depSatisfied(const RobEntry &entry) const
-{
-    if (!entry.op.dependsOnPrevLoad || entry.prevLoadSeq == 0)
-        return true;
-    if (entry.prevLoadSeq < oldestInRob)
-        return true; // the producer already retired
-    // ROB sequence numbers are contiguous (allocated at dispatch,
-    // released only from the front), so the producer sits exactly
-    // prevLoadSeq - front.seq slots in.
-    return rob[entry.prevLoadSeq - rob.front().seq].state ==
-           State::Done;
 }
 
 void
 Cpu::issueStage(Cycle now)
 {
-    if (waitQ_.empty())
+    if (readyMask_ == 0)
         return; // nothing issuable
     unsigned ports_used = 0;
+    // ROB sequence numbers are contiguous (allocated at dispatch,
+    // released only from the front), so seq sits seq - base slots in.
     SeqNum base = rob.front().seq;
-    // Walk the waiting-load list in program order, compacting out the
-    // loads that issue; the ones that stay behind (dependence not yet
-    // satisfied, LSU reject, MSHRs full) keep their relative order.
-    std::size_t r = 0;
-    std::size_t w = 0;
-    for (; r < waitQ_.size(); ++r) {
-        if (ports_used >= cfg.lsuPorts)
-            break;
-        RobEntry &e = rob[waitQ_[r] - base];
-        if (!depSatisfied(e)) {
-            waitQ_[w++] = waitQ_[r];
-            continue;
-        }
+    // Rotated so bit k is the load k places after the oldest one in
+    // the ROB: the set bits, lowest first, are the ready loads in
+    // program order.  Rejected and blocked loads keep their bit.
+    unsigned shift = static_cast<unsigned>(headLoadIdx_ & 63);
+    std::uint64_t ready = std::rotr(readyMask_, static_cast<int>(shift));
+    for (; ready != 0 && ports_used < cfg.lsuPorts; ready &= ready - 1) {
+        unsigned slot = (shift + std::countr_zero(ready)) & 63;
+        RobEntry &e = rob[loadSlot_[slot] - base];
         ++ports_used;
         // One touching probe decides hit/miss up front.  This is
         // load()'s internal lookup hoisted above the reject draw: the
@@ -137,7 +125,6 @@ Cpu::issueStage(Cycle now)
             // bandwidth -- the 970 behaviour behind the Loads
             // benchmark's sub-100% utilization at >= 4 banks (Fig. 5).
             lsuRejects.inc();
-            waitQ_[w++] = waitQ_[r];
             continue;
         }
         if (hit) {
@@ -153,16 +140,11 @@ Cpu::issueStage(Cycle now)
                                    complete(seq);
                                }) == L1DCache::LoadResult::Blocked) {
             // all MSHRs busy; slot wasted, retry later
-            waitQ_[w++] = waitQ_[r];
             continue;
         }
         e.state = State::Issued;
-    }
-    if (w != r) {
-        // Keep the unexamined tail (ports ran out before the end).
-        while (r < waitQ_.size())
-            waitQ_[w++] = waitQ_[r++];
-        waitQ_.resize(w);
+        readyMask_ &= ~(std::uint64_t{1} << slot);
+        --waitingLoads_;
     }
 }
 
@@ -197,19 +179,26 @@ Cpu::dispatchStage(Cycle now)
             break;
         }
 
-        bool was_empty = rob.empty();
         RobEntry &entry = rob.emplace_back();
         entry.op = head;
         entry.op.dependsOnPrevLoad = fetchDeps_[fetchPos_] != 0;
         ++fetchPos_;
         entry.seq = nextSeq++;
-        entry.prevLoadSeq = lastLoadSeq;
         switch (entry.op.kind) {
-          case MicroOp::Kind::Load:
+          case MicroOp::Kind::Load: {
+            std::uint64_t ord = nextLoadOrd_++;
+            entry.loadOrd = ord;
+            loadSlot_[ord & 63] = entry.seq;
             ++loadsInRob;
-            waitQ_.push_back(entry.seq);
-            lastLoadSeq = entry.seq;
+            ++waitingLoads_;
+            // Ready unless its producer (the previous load) is still
+            // in the ROB and not Done; complete() sets the bit then.
+            if (!entry.op.dependsOnPrevLoad || ord - 1 < headLoadIdx_ ||
+                rob[loadSlot_[(ord - 1) & 63] - rob.front().seq].state ==
+                    State::Done)
+                readyMask_ |= std::uint64_t{1} << (ord & 63);
             break;
+          }
           case MicroOp::Kind::Store:
             ++storesInRob;
             break;
@@ -219,8 +208,6 @@ Cpu::dispatchStage(Cycle now)
             entry.state = State::Done;
             break;
         }
-        if (was_empty)
-            oldestInRob = entry.seq;
     }
 }
 
@@ -237,6 +224,14 @@ Cpu::complete(SeqNum seq)
         vpc_panic("completion for seq {} in state {}", seq,
                   static_cast<int>(e.state));
     e.state = State::Done;
+    // Only loads complete here.  A dependent successor waits on
+    // exactly this one: it becomes ready now.
+    std::uint64_t next = e.loadOrd + 1;
+    if (next < nextLoadOrd_) {
+        const RobEntry &n = rob[loadSlot_[next & 63] - base];
+        if (n.op.dependsOnPrevLoad && n.state == State::Waiting)
+            readyMask_ |= std::uint64_t{1} << (next & 63);
+    }
 }
 
 } // namespace vpc

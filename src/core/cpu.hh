@@ -25,7 +25,6 @@
 #define VPC_CORE_CPU_HH
 
 #include <array>
-#include <vector>
 
 #include "cache/l1_cache.hh"
 #include "cache/l2_cache.hh"
@@ -59,9 +58,10 @@ class Cpu : public Ticking
     /**
      * Quiescence hint (see Ticking::nextWork).  The core sleeps only
      * when provably stalled on memory: the ROB head is a load still in
-     * flight, no dispatched load is waiting to issue (a waiting load
-     * consumes an LSU port and may draw from the RNG even when it ends
-     * up rejected or blocked, so it keeps the core active), and
+     * flight, no dispatched load is waiting to issue, ready or not (a
+     * ready load consumes an LSU port and may draw from the RNG even
+     * when it ends up rejected or blocked, so it keeps the core
+     * active), and
      * dispatch is structurally blocked with its next op already in the
      * fetch block buffer (an empty buffer means dispatch would refill
      * it from the workload).  The load-completion event flips the head
@@ -139,7 +139,7 @@ class Cpu : public Ticking
         MicroOp op;
         State state = State::Waiting;
         SeqNum seq = 0;
-        SeqNum prevLoadSeq = 0; //!< most recent older load (0 = none)
+        std::uint64_t loadOrd = 0; //!< load ordinal (loads only)
     };
 
     /**
@@ -165,9 +165,6 @@ class Cpu : public Ticking
     /** Mark the entry with sequence number @p seq complete. */
     void complete(SeqNum seq);
 
-    /** @return true once @p entry's load dependence is satisfied. */
-    bool depSatisfied(const RobEntry &entry) const;
-
     CoreConfig cfg;
     ThreadId thread;
     Workload &workload;
@@ -186,19 +183,34 @@ class Cpu : public Ticking
     std::size_t fetchLen_ = 0; //!< valid ops in the buffer
     /// @}
     SeqNum nextSeq = 1;
-    SeqNum lastLoadSeq = 0;    //!< seq of most recently dispatched load
-    SeqNum oldestInRob = 1;    //!< seq of the ROB head (retire frontier)
     unsigned loadsInRob = 0;
     unsigned storesInRob = 0;
     /**
-     * Dispatched loads not yet issued, in program order.  Exact
-     * mirror of the Waiting loads in the ROB: dispatch appends, issue
-     * compacts out the entries it issues (a Waiting load can neither
-     * complete nor retire, so membership changes nowhere else).  The
-     * issue stage visits the same loads in the same order as a ROB
-     * walk would, without touching the non-load entries in between.
+     * @name Ready-load mask
+     *
+     * Loads are numbered in dispatch order by an ordinal; at most
+     * loadQueueEntries <= 64 are in the ROB at once, so ordinal & 63
+     * names a load uniquely.  Bit (ordinal & 63) of readyMask_ is set
+     * while the load is Waiting with its dependence met.  A load
+     * depends only on the load dispatched just before it, so it
+     * becomes ready at exactly two points: at dispatch (independent,
+     * or its producer already Done or retired) or when its producer
+     * completes.  The issue stage walks the set bits from the oldest
+     * load in the ROB, in program order, and never visits a load that
+     * is blocked on its dependence.
      */
-    std::vector<SeqNum> waitQ_;
+    /// @{
+    std::uint64_t readyMask_ = 0;
+    std::array<SeqNum, 64> loadSlot_{}; //!< ordinal & 63 -> ROB seq
+    /**
+     * Ordinal of the oldest load in the ROB.  Ordinals start at 1, so
+     * the first load's (absent) producer, ordinal 0, counts as
+     * retired.
+     */
+    std::uint64_t headLoadIdx_ = 1;
+    std::uint64_t nextLoadOrd_ = 1; //!< ordinal of the next load
+    unsigned waitingLoads_ = 0;     //!< dispatched, not yet issued
+    /// @}
 
     HitLane hitLane_{/*counted=*/false, HitSink{this}};
     bool hitFused_ = false; //!< hit completions ride hitLane_

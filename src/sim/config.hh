@@ -312,20 +312,45 @@ struct SystemConfig
     }
 
     /**
+     * Most threads any machine may have: the VPC arbiter keeps its
+     * per-thread active set in one 64-bit mask.
+     */
+    static constexpr unsigned kMaxProcessors = 64;
+
+    /**
      * @return "" when the (normalized) configuration is internally
      *         consistent, else a description of the first problem.
      *         Never exits — the service layer uses this to reject
      *         malformed spooled jobs without killing the daemon.
+     *         Every value a model constructor would reject with
+     *         vpc_fatal is rejected here first.
      */
     std::string
     check() const
     {
         if (numProcessors == 0)
             return "numProcessors must be > 0";
+        if (numProcessors > kMaxProcessors)
+            return format("numProcessors {} exceeds the {}-thread limit",
+                          numProcessors, kMaxProcessors);
+        if (core.dispatchWidth == 0 || core.retireWidth == 0 ||
+            core.storeCommitWidth == 0 || core.lsuPorts == 0)
+            return "core widths and LSU ports must be > 0";
+        if (core.robEntries == 0 || core.storeQueueEntries == 0)
+            return "core ROB and store queue must have entries";
+        // The core's ready-load mask has one bit per load queue entry.
+        if (core.loadQueueEntries == 0 || core.loadQueueEntries > 64)
+            return format("load queue entries {} outside [1, 64]",
+                          core.loadQueueEntries);
+        if (!(verify.faultRate >= 0.0 && verify.faultRate <= 1.0))
+            return "fault rate must lie in [0, 1]";
         if (!isPowerOf2(l2.lineBytes) || !isPowerOf2(l2.banks))
             return "L2 line size and bank count must be powers of 2";
         if (l2.ways == 0)
             return "L2 must have at least one way";
+        // Way state is packed into one 64-bit mask word per set.
+        if (l2.ways > 64 || l1.ways > 64)
+            return "cache associativity exceeds 64 ways";
         // The size must factor exactly into banks x sets x ways x
         // lines; a remainder silently truncates capacity, and a
         // non-power-of-2 set count breaks the mask-based set index.
@@ -350,6 +375,32 @@ struct SystemConfig
             return format("L1 geometry gives {} sets; must be a "
                           "non-zero power of 2",
                           l1.sizeBytes / l1_divisor);
+        }
+        if (l2.tagLatency == 0 || l2.dataLatency == 0 ||
+            l2.tagWriteAccesses == 0 || l2.dataWriteAccesses == 0)
+            return "L2 tag and data latencies and write access counts "
+                   "must be > 0";
+        // Bus occupancy per line, computed as the bank computes it.
+        if (l2.busOccupancyOverride == 0 &&
+            (l2.busBytes == 0 ||
+             l2.busBeatCycles * (l2.lineBytes / l2.busBytes) == 0))
+            return "L2 bus occupancy must be > 0 cycles per line";
+        if (l2.sgbEntriesPerThread == 0 || l2.sgbHighWater == 0 ||
+            l2.sgbHighWater > l2.sgbEntriesPerThread)
+            return format("store gathering buffer: high-water mark {} "
+                          "outside [1, {} entries]", l2.sgbHighWater,
+                          l2.sgbEntriesPerThread);
+        // The channel's bank count, computed as the channel computes it.
+        if (mem.ranksPerChannel * mem.banksPerRank == 0)
+            return "memory channel needs ranks and banks";
+        // A burst is the shared-channel scheduler's service time.
+        if (mem.tBurst == 0)
+            return "memory burst must take > 0 cycles";
+        if (l1.prefetch.enable && l1.prefetch.streams == 0)
+            return "L1 prefetcher enabled with zero streams";
+        for (const PrefetchConfig &pf : l1PrefetchPerThread) {
+            if (pf.enable && pf.streams == 0)
+                return "L1 prefetcher enabled with zero streams";
         }
         if (shares.size() != numProcessors)
             return format("shares.size() ({}) != numProcessors ({})",

@@ -85,6 +85,43 @@ TEST_P(PolicySweep, EveryRequestGrantedExactlyOnce)
     EXPECT_EQ(arb->pendingCount(), 0u);
 }
 
+TEST_P(PolicySweep, LiveCountTracksPendingRequests)
+{
+    // hasPending() is the base class's live count (enqueues less
+    // grants and fault drops), kept apart from each policy's own
+    // queues.  Seeded random enqueue / select / drop sequences must
+    // never let the two disagree.
+    const unsigned threads = 4;
+    std::vector<double> shares(threads, 1.0 / threads);
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        auto arb = makeArbiter(GetParam(), threads, 8, 2, shares);
+        Rng rng(seed, 41);
+        std::size_t live = 0;
+        SeqNum seq = 0;
+        Cycle now = 0;
+        for (unsigned step = 0; step < 4000; ++step) {
+            double op = rng.uniform();
+            ThreadId t = rng.below(threads);
+            if (op < 0.45) {
+                arb->enqueue(makeReq(t, seq++, rng.chance(0.3),
+                                     0x40 * rng.below(8)),
+                             now);
+                ++live;
+            } else if (op < 0.9) {
+                if (arb->select(now))
+                    --live;
+            } else if (arb->faultDropOldest(t)) {
+                --live;
+            }
+            now += 1 + rng.below(8);
+            ASSERT_EQ(arb->pendingCount(), live)
+                << "seed " << seed << " step " << step;
+            ASSERT_EQ(arb->hasPending(), arb->pendingCount() > 0)
+                << "seed " << seed << " step " << step;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicySweep,
     ::testing::Values(ArbiterPolicy::Fcfs, ArbiterPolicy::RowFcfs,

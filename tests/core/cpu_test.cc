@@ -56,6 +56,64 @@ struct HotLoads : Workload
     bool dep;
 };
 
+/** Replays a fixed script of ops forever. */
+struct Scripted : Workload
+{
+    explicit Scripted(std::vector<MicroOp> s) : script(std::move(s)) {}
+
+    MicroOp
+    next() override
+    {
+        MicroOp op = script[pos];
+        pos = (pos + 1) % script.size();
+        return op;
+    }
+
+    std::string name() const override { return "scripted"; }
+
+    std::unique_ptr<Workload>
+    clone(std::uint64_t) const override
+    {
+        return std::make_unique<Scripted>(script);
+    }
+
+    std::vector<MicroOp> script;
+    std::size_t pos = 0;
+};
+
+MicroOp
+loadOp(Addr addr, bool dep)
+{
+    MicroOp op;
+    op.kind = MicroOp::Kind::Load;
+    op.addr = addr;
+    op.dependsOnPrevLoad = dep;
+    return op;
+}
+
+/** @return the script with @p n compute ops appended. */
+std::vector<MicroOp>
+withComputes(std::vector<MicroOp> ops, unsigned n)
+{
+    ops.insert(ops.end(), n, MicroOp{});
+    return ops;
+}
+
+/** A 1-core system running @p script, built from @p cfg. */
+std::unique_ptr<CmpSystem>
+scriptedSystem(std::vector<MicroOp> script, SystemConfig cfg)
+{
+    std::vector<std::unique_ptr<Workload>> v;
+    v.push_back(std::make_unique<Scripted>(std::move(script)));
+    return std::make_unique<CmpSystem>(cfg, std::move(v));
+}
+
+SystemConfig
+oneCore()
+{
+    return makeBaselineConfig(1, ArbiterPolicy::RowFcfs);
+}
+
 IntervalStats
 runSingle(std::unique_ptr<Workload> wl, Cycle warm = 5'000,
           Cycle measure = 20'000)
@@ -136,6 +194,114 @@ TEST(Cpu, DeterministicInstructionCounts)
         return sys.cpu(0).instrsRetired();
     };
     EXPECT_EQ(run(), run());
+}
+
+TEST(Cpu, ReadyMaskWrapsInDependentChains)
+{
+    // A fully dependent chain of L1 hits issues one load per hit
+    // latency, exactly, across hundreds of wraps of the 64-slot
+    // ready mask.
+    auto sys = scriptedSystem({loadOp(0x1000, true)}, oneCore());
+    IntervalStats s = sys->runAndMeasure(5'000, 40'000);
+    L1Config l1;
+    EXPECT_EQ(s.instrs.at(0), 40'000 / l1.hitLatency);
+    EXPECT_GT(sys->cpu(0).loadsRetired(), 64u * 300);
+
+    // Chains of four with an independent head: chains overlap, so
+    // the two LSU ports, not the hit latency, bound issue.
+    auto chains = scriptedSystem(
+        {loadOp(0x1000, false), loadOp(0x1040, true),
+         loadOp(0x1080, true), loadOp(0x10c0, true)},
+        oneCore());
+    IntervalStats c = chains->runAndMeasure(5'000, 40'000);
+    CoreConfig core;
+    EXPECT_GT(c.ipc.at(0), 0.95 * core.lsuPorts);
+    EXPECT_LE(c.ipc.at(0), static_cast<double>(core.lsuPorts));
+}
+
+TEST(Cpu, DependentLoadIssuesAtOnceWhenItsProducerRetired)
+{
+    // 120 compute ops separate producer and consumer; the ROB holds
+    // 100, so the producer has retired before the consumer is
+    // dispatched.  No completion will ever mark the consumer ready:
+    // dispatch must.  Otherwise the core deadlocks on it.
+    std::vector<MicroOp> script = withComputes({loadOp(0x1000, false)},
+                                               120);
+    std::vector<MicroOp> consumer = withComputes({loadOp(0x1000, true)},
+                                                 120);
+    script.insert(script.end(), consumer.begin(), consumer.end());
+    IntervalStats s = scriptedSystem(script, oneCore())
+                          ->runAndMeasure(5'000, 20'000);
+    IntervalStats compute = runSingle(std::make_unique<ComputeOnly>(),
+                                      5'000, 20'000);
+    EXPECT_GT(s.ipc.at(0), 0.98 * compute.ipc.at(0));
+}
+
+TEST(Cpu, BlockedReadyLoadsKeepProgramOrderAndPorts)
+{
+    // Four MSHRs, no LSU rejects, and misses that go nowhere: MSHRs
+    // free only when the test fills them by hand.  Sixty loads to one
+    // line come first, so the distinct-line loads after them (the
+    // 61st load on) straddle the 64-slot ready mask's wrap.
+    SystemConfig cfg = oneCore();
+    cfg.l1.mshrs = 4;
+    cfg.core.lsuRejectProb = 0.0;
+    const Addr hot = 0x80000;
+    auto line = [](Addr i) { return 0x100000 + 0x40 * i; };
+    std::vector<MicroOp> script(60, loadOp(hot, false));
+    for (Addr i = 0; i < 64; ++i)
+        script.push_back(loadOp(line(i), false));
+    auto sys = scriptedSystem(script, cfg);
+    std::vector<Addr> missed;
+    L1DCache &l1 = sys->l1(0);
+    l1.setMissHandler(
+        [&missed](Addr a, Cycle, bool) { missed.push_back(a); });
+
+    // The hot line misses once; its fill releases every load to it.
+    sys->run(20);
+    ASSERT_EQ(missed, std::vector<Addr>{hot});
+    l1.fill(hot, sys->now());
+    sys->run(100);
+    ASSERT_EQ(sys->cpu(0).loadsRetired(), 60u);
+    ASSERT_EQ(missed.size(), 5u);
+    for (Addr i = 0; i < 4; ++i)
+        EXPECT_EQ(missed[1 + i], line(i));
+
+    // Every cycle the two ports go to the two oldest ready loads,
+    // which find no MSHR and stay ready.
+    CoreConfig core;
+    std::uint64_t blocked = l1.blockedCount();
+    sys->run(50);
+    EXPECT_EQ(l1.blockedCount() - blocked, 50u * core.lsuPorts);
+
+    // Freeing two MSHRs lets exactly the next two loads in program
+    // order through.
+    l1.fill(line(0), sys->now());
+    l1.fill(line(1), sys->now());
+    sys->run(20);
+    ASSERT_EQ(missed.size(), 7u);
+    EXPECT_EQ(missed[5], line(4));
+    EXPECT_EQ(missed[6], line(5));
+}
+
+TEST(Cpu, NextWorkStaysDueWhileDependenceBlockedLoadsWait)
+{
+    // The ROB fills with [miss, load, 98 computes]; the miss never
+    // returns, so retirement and dispatch stall.  When the second
+    // load depends on the miss it waits, and the core must stay due;
+    // when it is an independent miss it issues, and the core may
+    // sleep until a completion wakes it.
+    for (bool dep : {true, false}) {
+        std::vector<MicroOp> script = withComputes(
+            {loadOp(0x200000, false), loadOp(0x300000, dep)}, 98);
+        auto sys = scriptedSystem(script, oneCore());
+        sys->l1(0).setMissHandler([](Addr, Cycle, bool) {});
+        sys->run(200);
+        Cycle now = sys->now();
+        EXPECT_EQ(sys->cpu(0).nextWork(now), dep ? now : kCycleMax)
+            << "dep=" << dep;
+        EXPECT_EQ(sys->cpu(0).instrsRetired(), 0u);
+    }
 }
 
 } // namespace

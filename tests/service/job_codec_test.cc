@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "service/job_codec.hh"
 #include "sim/format.hh"
@@ -133,6 +135,104 @@ TEST(JobCodec, RejectsInsaneConfigWithoutDying)
     text[pos] = '0';
     RunJob out;
     EXPECT_FALSE(decodeJob(text, out));
+}
+
+/** @return the elements of @p text's "cfg" array, as spelled. */
+std::vector<std::string>
+cfgElements(const std::string &text, std::size_t &begin,
+            std::size_t &end)
+{
+    begin = text.find("\"cfg\": [") + 8;
+    end = text.find(']', begin);
+    std::vector<std::string> out;
+    std::size_t p = begin;
+    while (p < end) {
+        std::size_t q = std::min(text.find(',', p), end);
+        out.push_back(text.substr(p, q - p));
+        p = q + 1;
+        while (p < end && text[p] == ' ')
+            ++p;
+    }
+    return out;
+}
+
+TEST(JobCodec, RejectsFieldsModelsWouldFatalOn)
+{
+    // Each bad value used to pass encode and decode and then exit the
+    // process from a model constructor when the job ran.  Now the
+    // encoder refuses it with a fatal error in the submitting client,
+    // and a record carrying it decodes to a clean failure.
+    struct Bad
+    {
+        const char *what;
+        unsigned *(*field)(SystemConfig &);
+        unsigned other; //!< a legal value, to locate the field
+        unsigned bad;
+    };
+    const Bad cases[] = {
+        {"sgb entries",
+         [](SystemConfig &c) { return &c.l2.sgbEntriesPerThread; }, 9, 0},
+        {"sgb high water",
+         [](SystemConfig &c) { return &c.l2.sgbHighWater; }, 5, 9},
+        {"l2 tag write accesses",
+         [](SystemConfig &c) { return &c.l2.tagWriteAccesses; }, 1, 0},
+        {"l2 bus bytes", [](SystemConfig &c) { return &c.l2.busBytes; },
+         32, 0},
+        {"mem banks per rank",
+         [](SystemConfig &c) { return &c.mem.banksPerRank; }, 4, 0},
+        {"mem ranks", [](SystemConfig &c) { return &c.mem.ranksPerChannel; },
+         1, 0},
+        {"prefetch streams",
+         [](SystemConfig &c) {
+             c.l1.prefetch.enable = true;
+             return &c.l1.prefetch.streams;
+         },
+         3, 0},
+        {"lsu ports", [](SystemConfig &c) { return &c.core.lsuPorts; }, 1,
+         0},
+        {"load queue entries",
+         [](SystemConfig &c) { return &c.core.loadQueueEntries; }, 16,
+         65},
+        {"dispatch width",
+         [](SystemConfig &c) { return &c.core.dispatchWidth; }, 4, 0},
+    };
+    for (const Bad &b : cases) {
+        RunJob job = sampleJob();
+        (void)b.field(job.config); // enables what the field needs
+        RunJob other = job;
+        *b.field(other.config) = b.other;
+        std::string text = encodeJob(job);
+
+        // Locate the field: the one cfg element the two encodings
+        // disagree on.
+        std::size_t begin = 0, end = 0;
+        std::vector<std::string> theirs =
+            cfgElements(encodeJob(other), begin, end);
+        std::vector<std::string> mine = cfgElements(text, begin, end);
+        ASSERT_EQ(mine.size(), theirs.size()) << b.what;
+        std::size_t at = mine.size();
+        for (std::size_t i = 0; i < mine.size(); ++i) {
+            if (mine[i] != theirs[i]) {
+                ASSERT_EQ(at, mine.size()) << b.what;
+                at = i;
+            }
+        }
+        ASSERT_LT(at, mine.size()) << b.what;
+        mine[at] = std::to_string(b.bad);
+        std::string cfg;
+        for (std::size_t i = 0; i < mine.size(); ++i)
+            cfg += (i ? ", " : "") + mine[i];
+        std::string bad_text = text;
+        bad_text.replace(begin, end - begin, cfg);
+
+        RunJob out;
+        EXPECT_FALSE(decodeJob(bad_text, out)) << b.what;
+
+        RunJob bad_job = job;
+        *b.field(bad_job.config) = b.bad;
+        EXPECT_EXIT(encodeJob(bad_job), testing::ExitedWithCode(1), "")
+            << b.what;
+    }
 }
 
 } // namespace

@@ -174,6 +174,96 @@ TEST(SystemConfig, NonPowerOf2LineSizeFatal)
                 "powers of 2");
 }
 
+TEST(SystemConfig, CheckRejectsWhatModelsWouldFatalOn)
+{
+    // Every value below makes a model constructor exit the process
+    // (or the core's ready-load mask overflow).  check() must report
+    // each one instead, so the service can reject the job cleanly.
+    struct Bad
+    {
+        const char *what;
+        void (*set)(SystemConfig &);
+    };
+    const Bad cases[] = {
+        {"sgb entries 0",
+         [](SystemConfig &c) { c.l2.sgbEntriesPerThread = 0; }},
+        {"sgb high water 0",
+         [](SystemConfig &c) { c.l2.sgbHighWater = 0; }},
+        {"sgb high water > entries",
+         [](SystemConfig &c) { c.l2.sgbHighWater = 9; }},
+        {"tag latency 0", [](SystemConfig &c) { c.l2.tagLatency = 0; }},
+        {"data latency 0", [](SystemConfig &c) { c.l2.dataLatency = 0; }},
+        {"tag write accesses 0",
+         [](SystemConfig &c) { c.l2.tagWriteAccesses = 0; }},
+        {"data write accesses 0",
+         [](SystemConfig &c) { c.l2.dataWriteAccesses = 0; }},
+        {"bus beat 0", [](SystemConfig &c) { c.l2.busBeatCycles = 0; }},
+        {"bus width 0", [](SystemConfig &c) { c.l2.busBytes = 0; }},
+        {"bus wider than a line",
+         [](SystemConfig &c) { c.l2.busBytes = 128; }},
+        {"ranks 0", [](SystemConfig &c) { c.mem.ranksPerChannel = 0; }},
+        {"banks 0", [](SystemConfig &c) { c.mem.banksPerRank = 0; }},
+        {"ranks x banks wraps to 0",
+         [](SystemConfig &c) {
+             c.mem.ranksPerChannel = 1u << 16;
+             c.mem.banksPerRank = 1u << 16;
+         }},
+        {"burst 0", [](SystemConfig &c) { c.mem.tBurst = 0; }},
+        {"prefetch streams 0",
+         [](SystemConfig &c) {
+             c.l1.prefetch.enable = true;
+             c.l1.prefetch.streams = 0;
+         }},
+        {"per-thread prefetch streams 0",
+         [](SystemConfig &c) {
+             c.l1PrefetchPerThread.assign(c.numProcessors,
+                                          PrefetchConfig{});
+             c.l1PrefetchPerThread[1].enable = true;
+             c.l1PrefetchPerThread[1].streams = 0;
+         }},
+        {"65 processors",
+         [](SystemConfig &c) {
+             c.numProcessors = 65;
+             c.shares.clear();
+         }},
+        {"L2 ways 128",
+         [](SystemConfig &c) {
+             c.l2.ways = 128;
+             c.l2.sizeBytes = 32ull * 1024 * 1024;
+         }},
+        {"fault rate 2", [](SystemConfig &c) { c.verify.faultRate = 2; }},
+        {"dispatch width 0",
+         [](SystemConfig &c) { c.core.dispatchWidth = 0; }},
+        {"retire width 0", [](SystemConfig &c) { c.core.retireWidth = 0; }},
+        {"store commit width 0",
+         [](SystemConfig &c) { c.core.storeCommitWidth = 0; }},
+        {"lsu ports 0", [](SystemConfig &c) { c.core.lsuPorts = 0; }},
+        {"rob 0", [](SystemConfig &c) { c.core.robEntries = 0; }},
+        {"store queue 0",
+         [](SystemConfig &c) { c.core.storeQueueEntries = 0; }},
+        {"load queue 0",
+         [](SystemConfig &c) { c.core.loadQueueEntries = 0; }},
+        {"load queue 65",
+         [](SystemConfig &c) { c.core.loadQueueEntries = 65; }},
+    };
+    for (const Bad &b : cases) {
+        SystemConfig cfg;
+        b.set(cfg);
+        cfg.normalize();
+        EXPECT_NE(cfg.check(), "") << b.what;
+    }
+
+    // The edges that stay legal.
+    SystemConfig edge;
+    edge.numProcessors = SystemConfig::kMaxProcessors;
+    edge.capacityPolicy = CapacityPolicy::Lru; // 1/64 of 32 ways
+    edge.core.loadQueueEntries = 64;
+    edge.l2.sgbHighWater = edge.l2.sgbEntriesPerThread;
+    edge.l2.busBytes = edge.l2.lineBytes;
+    edge.normalize();
+    EXPECT_EQ(edge.check(), "");
+}
+
 TEST(Types, LineAlignAndLog2)
 {
     EXPECT_EQ(lineAlign(0x12345, 64), 0x12340u);
