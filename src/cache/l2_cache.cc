@@ -90,6 +90,24 @@ L2Cache::nextWork(Cycle now) const
 }
 
 bool
+L2Cache::tickIfDue(Cycle now)
+{
+    // Banks act only on even cycles (L2Bank::tick returns at once on
+    // odd ones and L2Bank::nextWork rounds up onto the even grid), so
+    // an odd cycle is never due.  Otherwise the cache is due when any
+    // bank is: min over banks <= now.
+    if (now & 1)
+        return false;
+    for (const auto &bank : banks) {
+        if (bank->nextWork(now) <= now) {
+            L2Cache::tick(now);
+            return true;
+        }
+    }
+    return false;
+}
+
+bool
 L2Cache::quiesced() const
 {
     for (const auto &bank : banks) {

@@ -95,6 +95,12 @@ class L2Cache : public Ticking
     /** Quiescence hint: the earliest nextWork across all banks. */
     Cycle nextWork(Cycle now) const override;
 
+    /**
+     * Tick the banks when any bank is due (see Ticking::tickIfDue),
+     * without taking the minimum over all of them.
+     */
+    bool tickIfDue(Cycle now) override;
+
     /** @return bank index servicing @p addr. */
     unsigned bankOf(Addr addr) const;
 

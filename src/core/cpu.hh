@@ -25,13 +25,13 @@
 #define VPC_CORE_CPU_HH
 
 #include <array>
+#include <memory>
 
 #include "cache/l1_cache.hh"
 #include "cache/l2_cache.hh"
 #include "sim/config.hh"
 #include "sim/fused_chain.hh"
 #include "sim/random.hh"
-#include "sim/ring.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "workload/workload.hh"
@@ -54,6 +54,9 @@ class Cpu : public Ticking
         L1DCache &l1, L2Cache &l2);
 
     void tick(Cycle now) override;
+
+    /** Direct-call nextWork() + tick() (see Ticking::tickIfDue). */
+    bool tickIfDue(Cycle now) override;
 
     /**
      * Quiescence hint (see Ticking::nextWork).  The core sleeps only
@@ -127,26 +130,30 @@ class Cpu : public Ticking
     /// @}
 
   private:
-    enum class State
+    enum class State : std::uint8_t
     {
         Waiting, //!< not yet issued
         Issued,  //!< access in flight
         Done     //!< result available; retirable
     };
 
+    /**
+     * One ROB slot.  The entry's sequence number is implicit: seq
+     * lives in slot seq & robMask_.  Dispatch writes every field.
+     */
     struct RobEntry
     {
-        MicroOp op;
-        State state = State::Waiting;
-        SeqNum seq = 0;
-        std::uint64_t loadOrd = 0; //!< load ordinal (loads only)
+        Addr addr;                //!< memory ops only
+        std::uint64_t loadOrd;    //!< load ordinal (loads only)
+        MicroOp::Kind kind;
+        State state;
+        bool dependsOnPrevLoad;
     };
 
     /**
      * Ops fetched per Workload::nextBlock() call.  One virtual call
      * (and, for generators, one string-free tight loop) is amortized
-     * over this many dispatched ops; dependsOnPrevLoad is pre-decoded
-     * into a side-array at refill so dispatch reads plain flags.
+     * over this many dispatched ops.
      */
     static constexpr std::size_t kFetchBlock = 128;
 
@@ -165,6 +172,16 @@ class Cpu : public Ticking
     /** Mark the entry with sequence number @p seq complete. */
     void complete(SeqNum seq);
 
+    /** @return the ROB entry of in-flight sequence number @p seq. */
+    RobEntry &slot(SeqNum seq) { return rob_[seq & robMask_]; }
+    const RobEntry &slot(SeqNum seq) const
+    {
+        return rob_[seq & robMask_];
+    }
+
+    /** @return instructions in the ROB. */
+    std::size_t robSize() const { return nextSeq - headSeq_; }
+
     CoreConfig cfg;
     ThreadId thread;
     Workload &workload;
@@ -173,16 +190,27 @@ class Cpu : public Ticking
     Rng rng;
     Bernoulli lsuRejectB_; //!< cfg.lsuRejectProb in threshold form
 
-    SmallRing<RobEntry> rob;
+    /**
+     * @name Reorder buffer
+     *
+     * ROB sequence numbers are contiguous (allocated at dispatch,
+     * released only from the front), so the ROB is a fixed
+     * power-of-two array of at least robEntries slots indexed by
+     * seq & robMask_: [headSeq_, nextSeq) are the live entries, oldest
+     * first.  At most robEntries are live, so no two share a slot.
+     */
+    /// @{
+    std::unique_ptr<RobEntry[]> rob_;
+    SeqNum robMask_ = 0;
+    SeqNum headSeq_ = 1; //!< oldest live entry (== nextSeq when empty)
+    SeqNum nextSeq = 1;  //!< sequence number of the next dispatch
+    /// @}
     /** @name Fetch block buffer (refilled via Workload::nextBlock) */
     /// @{
     std::array<MicroOp, kFetchBlock> fetchBlock_;
-    /** Pre-decoded dependsOnPrevLoad flags (dispatch side-array). */
-    std::array<std::uint8_t, kFetchBlock> fetchDeps_{};
     std::size_t fetchPos_ = 0; //!< next unconsumed op
     std::size_t fetchLen_ = 0; //!< valid ops in the buffer
     /// @}
-    SeqNum nextSeq = 1;
     unsigned loadsInRob = 0;
     unsigned storesInRob = 0;
     /**

@@ -246,6 +246,15 @@ MemoryController::nextWork(Cycle now) const
     return kCycleMax; // enqueues re-poll; completions are events
 }
 
+bool
+MemoryController::tickIfDue(Cycle now)
+{
+    if (MemoryController::nextWork(now) > now)
+        return false;
+    MemoryController::tick(now);
+    return true;
+}
+
 const SampleStat &
 MemoryController::readLatency(ThreadId t) const
 {

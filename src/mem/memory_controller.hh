@@ -95,6 +95,9 @@ class MemoryController : public Ticking
      */
     Cycle nextWork(Cycle now) const override;
 
+    /** Direct-call nextWork() + tick() (see Ticking::tickIfDue). */
+    bool tickIfDue(Cycle now) override;
+
     /** @return read latency statistics (queue + DRAM), thread @p t. */
     const SampleStat &readLatency(ThreadId t) const;
 

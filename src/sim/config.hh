@@ -69,6 +69,13 @@ enum class CapacityPolicy
 /** Per-processor core parameters (Table 1, top half). */
 struct CoreConfig
 {
+    /**
+     * Largest ROB a core may have (40x Table 1's 100).  The core
+     * allocates its ROB slots at construction, so the bound keeps a
+     * decoded job from asking for gigabytes.
+     */
+    static constexpr unsigned kMaxRobEntries = 4096;
+
     unsigned dispatchWidth = 5;    //!< instrs per dispatch group
     unsigned robEntries = 100;     //!< 20 groups x 5 instructions
     unsigned retireWidth = 5;
@@ -338,6 +345,9 @@ struct SystemConfig
             return "core widths and LSU ports must be > 0";
         if (core.robEntries == 0 || core.storeQueueEntries == 0)
             return "core ROB and store queue must have entries";
+        if (core.robEntries > CoreConfig::kMaxRobEntries)
+            return format("ROB entries {} exceed the {}-entry limit",
+                          core.robEntries, CoreConfig::kMaxRobEntries);
         // The core's ready-load mask has one bit per load queue entry.
         if (core.loadQueueEntries == 0 || core.loadQueueEntries > 64)
             return format("load queue entries {} outside [1, 64]",

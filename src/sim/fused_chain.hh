@@ -32,6 +32,10 @@
  * on cycles with no fused work: addFusedChain installs a due hook
  * (setDueHook) that push() min-updates, the kernel compares one Cycle
  * per executed cycle, and only a due drain touches the lanes at all.
+ * Each lane also keeps its own exact earliest-due cycle and its
+ * counted flag as plain base-class fields, so a due drain visits only
+ * the lanes due this cycle and re-derives the cache without a virtual
+ * call per lane.
  *
  * Counted lanes (crossbar transit, critical-word response) increment
  * eventsFired and bill the profiler exactly as the event path would.
@@ -62,16 +66,11 @@ class FusedChain
     virtual ~FusedChain() = default;
 
     /**
-     * Run every entry due at or before @p now, in push order.
+     * Run every entry due at or before @p now, in push order, and
+     * re-derive due().
      * @return the number of entries drained.
      */
     virtual std::uint64_t drain(Cycle now) = 0;
-
-    /** @return whether drained entries count as fired events. */
-    virtual bool counted() const = 0;
-
-    /** @return the due cycle of the oldest entry, or kCycleMax. */
-    virtual Cycle nextDue() const = 0;
 
     /** @return entries not yet drained. */
     virtual std::size_t pending() const = 0;
@@ -83,26 +82,45 @@ class FusedChain
      */
     virtual void setProfiler(Profiler *) {}
 
+    /** @return the due cycle of the oldest entry, or kCycleMax. */
+    Cycle due() const { return due_; }
+
+    /** @return whether drained entries count as fired events. */
+    bool counted() const { return counted_; }
+
     /**
      * Install the owning kernel's earliest-due cache: push() will
      * min-update *@p hook, so the kernel can skip the lanes entirely
      * on cycles where nothing fused is due.  Passing nullptr detaches
      * (pushes fall back to a private sink).  The hook must outlive the
      * chain's use; the kernel is responsible for re-deriving the exact
-     * minimum (via nextDue()) after each drain.
+     * minimum (from due()) after each drain.
      */
     void setDueHook(Cycle *hook) { dueHook_ = hook ? hook : &selfDue_; }
 
   protected:
-    /** Record that an entry due at @p when was pushed. */
+    explicit FusedChain(bool counted) : counted_(counted) {}
+
+    /**
+     * Record that an entry due at @p when was pushed.  Only a push
+     * that lowers due() touches the kernel's cache: the cache never
+     * exceeds a lane's due(), except during a drain for the lanes the
+     * kernel has yet to pass, and it reads their due() as it does.
+     */
     void
     noteDue(Cycle when)
     {
-        if (when < *dueHook_)
-            *dueHook_ = when;
+        if (when < due_) {
+            due_ = when;
+            if (when < *dueHook_)
+                *dueHook_ = when;
+        }
     }
 
+    Cycle due_ = kCycleMax; //!< exact: oldest entry's due cycle
+
   private:
+    bool counted_;
     Cycle selfDue_ = kCycleMax; //!< sink while no kernel is attached
     Cycle *dueHook_ = &selfDue_;
 };
@@ -127,7 +145,7 @@ class DataLane final : public FusedChain
      * @param sink consumer invoked for each drained record
      */
     explicit DataLane(bool counted, Sink sink = Sink{})
-        : sink_(std::move(sink)), counted_(counted)
+        : FusedChain(counted), sink_(std::move(sink))
     {}
 
     void setProfiler(Profiler *p) override { prof_ = p; }
@@ -154,13 +172,14 @@ class DataLane final : public FusedChain
     drain(Cycle now) override
     {
         std::uint64_t fired = 0;
+        bool billed = counted() && prof_ != nullptr;
         while (!ring_.empty() && ring_.front().when <= now) {
             // Copy out before popping: the sink may push new records
             // (never due this cycle — the latency is a positive
             // constant) and grow the ring under us.
             Entry e = ring_.front();
             ring_.pop_front();
-            if (counted_ && prof_ != nullptr) {
+            if (billed) {
                 std::uint64_t t0 = Profiler::nowNs();
                 sink_(e.when, e.payload);
                 prof_->addEvent(e.owner, Profiler::nowNs() - t0);
@@ -169,15 +188,8 @@ class DataLane final : public FusedChain
             }
             ++fired;
         }
+        due_ = ring_.empty() ? kCycleMax : ring_.front().when;
         return fired;
-    }
-
-    bool counted() const override { return counted_; }
-
-    Cycle
-    nextDue() const override
-    {
-        return ring_.empty() ? kCycleMax : ring_.front().when;
     }
 
     std::size_t pending() const override { return ring_.size(); }
@@ -192,7 +204,6 @@ class DataLane final : public FusedChain
 
     SmallRing<Entry> ring_;
     Sink sink_;
-    bool counted_;
     Profiler *prof_ = nullptr;
 };
 

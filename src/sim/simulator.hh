@@ -81,6 +81,22 @@ class Ticking
      *    via enqueue calls, completions via events).
      */
     virtual Cycle nextWork(Cycle now) const { return now; }
+
+    /**
+     * Tick this component at @p now if it is due (nextWork(now) <=
+     * now), as the skipping kernel's active set does.  One virtual
+     * call per component per executed cycle: hot components override
+     * this with direct calls to their own nextWork() and tick().
+     * @return whether tick() ran.
+     */
+    virtual bool
+    tickIfDue(Cycle now)
+    {
+        if (nextWork(now) > now)
+            return false;
+        tick(now);
+        return true;
+    }
 };
 
 /**
@@ -163,8 +179,8 @@ class Simulator
         chains_.push_back(c);
         c->setProfiler(prof_);
         c->setDueHook(&chainsDue_);
-        if (c->nextDue() < chainsDue_)
-            chainsDue_ = c->nextDue();
+        if (c->due() < chainsDue_)
+            chainsDue_ = c->due();
     }
 
     /** @return pending events including undrained fused-chain entries. */
@@ -261,15 +277,19 @@ class Simulator
             drainChains();
             // Active set: poll each hint immediately before the
             // component's slot so feeds from events and from earlier
-            // components this cycle are already visible.
-            for (std::size_t i = 0; i < components.size(); ++i) {
-                Ticking *t = components[i];
-                if (t->nextWork(cycle_) <= cycle_) {
-                    if (prof_ != nullptr)
+            // components this cycle are already visible.  The profiled
+            // path times tick() alone, so it polls nextWork() itself.
+            if (prof_ != nullptr) {
+                for (std::size_t i = 0; i < components.size(); ++i) {
+                    if (components[i]->nextWork(cycle_) <= cycle_) {
                         profiledTick(i, cycle_);
-                    else
-                        t->tick(cycle_);
-                    kernel_.ticksExecuted.inc();
+                        kernel_.ticksExecuted.inc();
+                    }
+                }
+            } else {
+                for (Ticking *t : components) {
+                    if (t->tickIfDue(cycle_))
+                        kernel_.ticksExecuted.inc();
                 }
             }
             kernel_.cyclesExecuted.inc();
@@ -314,12 +334,16 @@ class Simulator
     }
 
     /**
-     * Drain every fused chain's entries due this cycle.  One compare
-     * on the cached earliest-due cycle in the common (nothing due)
-     * case; a due drain re-derives the exact minimum afterwards, in a
-     * second pass so pushes made *by* drained handlers (always due
-     * strictly later — lane latencies are positive constants) are
-     * observed no matter which lane they landed in.
+     * Drain the fused chains due this cycle, in registration order.
+     * One compare on the cached earliest-due cycle in the common
+     * (nothing due) case.  A due drain resets the cache, drains only
+     * the lanes whose due() has come, and folds each lane's due()
+     * back in as it passes it.  Pushes made *by* drained handlers
+     * (always due strictly later — lane latencies are positive
+     * constants) are observed wherever they land: a lane not yet
+     * passed is read when it is reached, and a push that lowers an
+     * already-passed lane's due() min-updates the cache through the
+     * due hook.
      */
     void
     drainChains()
@@ -328,14 +352,13 @@ class Simulator
             return;
         chainsDue_ = kCycleMax;
         for (FusedChain *c : chains_) {
-            std::uint64_t n = c->drain(cycle_);
-            if (c->counted())
-                kernel_.eventsFired.inc(n);
-        }
-        for (const FusedChain *c : chains_) {
-            Cycle d = c->nextDue();
-            if (d < chainsDue_)
-                chainsDue_ = d;
+            if (c->due() <= cycle_) {
+                std::uint64_t n = c->drain(cycle_);
+                if (c->counted())
+                    kernel_.eventsFired.inc(n);
+            }
+            if (c->due() < chainsDue_)
+                chainsDue_ = c->due();
         }
     }
 

@@ -24,7 +24,7 @@ namespace vpc
 /** One dynamic instruction as seen by the timing model. */
 struct MicroOp
 {
-    enum class Kind
+    enum class Kind : std::uint8_t
     {
         Load,    //!< memory read
         Store,   //!< memory write (write-through to L2)

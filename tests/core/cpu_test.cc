@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/cpu.hh"
@@ -301,6 +303,130 @@ TEST(Cpu, NextWorkStaysDueWhileDependenceBlockedLoadsWait)
         EXPECT_EQ(sys->cpu(0).nextWork(now), dep ? now : kCycleMax)
             << "dep=" << dep;
         EXPECT_EQ(sys->cpu(0).instrsRetired(), 0u);
+    }
+}
+
+/** A 1-core baseline machine whose ROB has @p rob entries. */
+SystemConfig
+robCore(unsigned rob)
+{
+    SystemConfig cfg = oneCore();
+    cfg.core.robEntries = rob;
+    return cfg;
+}
+
+MicroOp
+storeOp(Addr addr)
+{
+    MicroOp op;
+    op.kind = MicroOp::Kind::Store;
+    op.addr = addr;
+    return op;
+}
+
+/** ROB sizes off the power-of-two grid, down to a single entry. */
+class RobSize : public testing::TestWithParam<unsigned>
+{};
+
+TEST_P(RobSize, ComputeRetiresAtTheNarrowestWidth)
+{
+    // Dispatch and retire move min(ROB, width) ops a cycle, and the
+    // slot array wraps every few cycles.
+    unsigned rob = GetParam();
+    CoreConfig core;
+    auto sys = scriptedSystem({MicroOp{}}, robCore(rob));
+    IntervalStats s = sys->runAndMeasure(5'000, 30'000);
+    EXPECT_EQ(s.instrs.at(0),
+              30'000u * std::min(rob, core.retireWidth));
+}
+
+TEST_P(RobSize, DependentHitChainRetiresOnePerHitLatency)
+{
+    // Each load waits for the one before it.  With room for two, the
+    // successor is already dispatched and issues the cycle its
+    // producer completes; a one-entry ROB dispatches it only when the
+    // producer retires, one cycle later.
+    unsigned rob = GetParam();
+    L1Config l1;
+    Cycle period = l1.hitLatency + (rob == 1 ? 1 : 0);
+    auto sys = scriptedSystem({loadOp(0x1000, true)}, robCore(rob));
+    IntervalStats s = sys->runAndMeasure(5'000, 30'000);
+    EXPECT_EQ(s.instrs.at(0), 30'000u / period);
+    // At least 50 trips round the 128 slots of a 100-entry ROB.
+    EXPECT_GT(sys->cpu(0).loadsRetired(), 50u * 128u);
+}
+
+TEST_P(RobSize, StoresStalledAtTheHeadAndDependentLoads)
+{
+    // Stores stream through 256 lines, so the gathering buffers fill
+    // and retirement stalls with a store at the head; dependent L1
+    // hits and compute ops ride behind them.  The counts are those of
+    // the growable-ring ROB this slot array replaced, for the same
+    // machine and script.
+    struct Want
+    {
+        unsigned rob;
+        std::uint64_t retired, loads, stores, stalls;
+    };
+    const Want wants[] = {
+        {100, 18500, 9250, 4625, 35174},
+        {5, 18497, 9248, 4625, 28606},
+        {1, 18442, 9221, 4611, 2917},
+    };
+    unsigned rob = GetParam();
+    const Want *want = nullptr;
+    for (const Want &w : wants) {
+        if (w.rob == rob)
+            want = &w;
+    }
+    ASSERT_NE(want, nullptr);
+
+    std::vector<MicroOp> script;
+    for (Addr i = 0; i < 256; ++i) {
+        script.push_back(storeOp(0x400000 + 0x40 * i));
+        script.push_back(loadOp(0x1000, false));
+        script.push_back(loadOp(0x1040, true));
+        script.push_back(MicroOp{});
+    }
+    auto sys = scriptedSystem(script, robCore(rob));
+    sys->run(40'000);
+    const Cpu &cpu = sys->cpu(0);
+    EXPECT_GT(cpu.storeStallCycles(), 0u);
+    EXPECT_GT(cpu.instrsRetired(), 100u * 128u);
+    EXPECT_EQ(cpu.instrsRetired(), want->retired);
+    EXPECT_EQ(cpu.loadsRetired(), want->loads);
+    EXPECT_EQ(cpu.storesRetired(), want->stores);
+    EXPECT_EQ(cpu.storeStallCycles(), want->stalls);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cpu, RobSize, testing::Values(100u, 5u, 1u),
+                         [](const testing::TestParamInfo<unsigned> &i) {
+                             return "rob" + std::to_string(i.param);
+                         });
+
+TEST(CpuDeathTest, CompletingARetiredSeqPanics)
+{
+    // A load that misses and never returns sits Issued at the head.
+    // Sequence numbers that share its slot (robEntries 1: every seq;
+    // robEntries 5: every eighth) belong to retired entries, and a
+    // completion for one must not land on the live load.
+    for (unsigned rob : {1u, 5u}) {
+        SystemConfig cfg = robCore(rob);
+        cfg.core.lsuRejectProb = 0.0;
+        std::vector<MicroOp> script = withComputes({}, 8);
+        script.push_back(loadOp(0x200000, false));
+        auto sys = scriptedSystem(script, cfg);
+        sys->l1(0).setMissHandler([](Addr, Cycle, bool) {});
+        sys->run(100);
+        Cpu &cpu = sys->cpu(0);
+        ASSERT_EQ(cpu.instrsRetired(), 8u) << "rob=" << rob;
+        // The load is seq 9; seq 1 shares its slot in both ROBs.
+        EXPECT_DEATH(Cpu::HitSink{&cpu}(sys->now(), 1),
+                     "completion for unknown seq 1")
+            << "rob=" << rob;
+        EXPECT_DEATH(Cpu::HitSink{&cpu}(sys->now(), 9 + rob),
+                     "completion for unknown seq")
+            << "rob=" << rob;
     }
 }
 

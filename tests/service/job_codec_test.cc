@@ -195,6 +195,8 @@ TEST(JobCodec, RejectsFieldsModelsWouldFatalOn)
          65},
         {"dispatch width",
          [](SystemConfig &c) { return &c.core.dispatchWidth; }, 4, 0},
+        {"rob entries", [](SystemConfig &c) { return &c.core.robEntries; },
+         64, 4'000'000'000u},
     };
     for (const Bad &b : cases) {
         RunJob job = sampleJob();

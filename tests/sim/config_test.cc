@@ -239,6 +239,9 @@ TEST(SystemConfig, CheckRejectsWhatModelsWouldFatalOn)
          [](SystemConfig &c) { c.core.storeCommitWidth = 0; }},
         {"lsu ports 0", [](SystemConfig &c) { c.core.lsuPorts = 0; }},
         {"rob 0", [](SystemConfig &c) { c.core.robEntries = 0; }},
+        {"rob 4097", [](SystemConfig &c) { c.core.robEntries = 4097; }},
+        {"rob 4e9",
+         [](SystemConfig &c) { c.core.robEntries = 4'000'000'000u; }},
         {"store queue 0",
          [](SystemConfig &c) { c.core.storeQueueEntries = 0; }},
         {"load queue 0",
@@ -258,6 +261,7 @@ TEST(SystemConfig, CheckRejectsWhatModelsWouldFatalOn)
     edge.numProcessors = SystemConfig::kMaxProcessors;
     edge.capacityPolicy = CapacityPolicy::Lru; // 1/64 of 32 ways
     edge.core.loadQueueEntries = 64;
+    edge.core.robEntries = CoreConfig::kMaxRobEntries;
     edge.l2.sgbHighWater = edge.l2.sgbEntriesPerThread;
     edge.l2.busBytes = edge.l2.lineBytes;
     edge.normalize();

@@ -111,6 +111,52 @@ TEST(SimulatorSkip, DefaultNextWorkKeepsNaiveBehaviour)
     EXPECT_EQ(sim.kernelStats().cyclesSkipped.value(), 0u);
 }
 
+TEST(SimulatorSkip, DefaultTickIfDueTicksExactlyWhenDue)
+{
+    // Due on every third cycle; counts every call it receives.
+    struct Periodic : Ticking
+    {
+        void
+        tick(Cycle now) override
+        {
+            ++ticks;
+            if (now % 3 != 0)
+                ++offCycleTicks;
+        }
+        Cycle
+        nextWork(Cycle now) const override
+        {
+            ++polls;
+            return (now + 2) / 3 * 3;
+        }
+        unsigned ticks = 0;
+        unsigned offCycleTicks = 0;
+        mutable unsigned polls = 0;
+    };
+
+    Periodic p;
+    for (Cycle c = 0; c < 30; ++c)
+        EXPECT_EQ(p.tickIfDue(c), c % 3 == 0) << c;
+    EXPECT_EQ(p.ticks, 10u);
+    EXPECT_EQ(p.offCycleTicks, 0u);
+    EXPECT_EQ(p.polls, 30u);
+
+    // Under the kernel, beside an eager component that keeps every
+    // cycle executing, the count of ticks is what it was before
+    // tickIfDue: one per executed cycle for the eager component, one
+    // per due cycle for the periodic one.
+    Simulator sim;
+    Eager e;
+    Periodic q;
+    sim.addTicking(&e);
+    sim.addTicking(&q);
+    sim.run(300);
+    EXPECT_EQ(e.ticks, 300u);
+    EXPECT_EQ(q.ticks, 100u);
+    EXPECT_EQ(q.offCycleTicks, 0u);
+    EXPECT_EQ(sim.kernelStats().ticksExecuted.value(), 300u + 100u);
+}
+
 TEST(SimulatorSkip, ActiveSetGatesQuiescentComponents)
 {
     // With one eager and one sparse component, every cycle executes
