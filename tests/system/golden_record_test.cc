@@ -1,6 +1,6 @@
 /**
  * @file
- * Exactness gate: the model's output on four fixed runs, pinned bit
+ * Exactness gate: the model's output on six fixed runs, pinned bit
  * for bit.
  *
  * The determinism and skip-differential tests compare two runs of the
@@ -10,8 +10,14 @@
  * L2 counts, resource utilizations, gathering counts) and the kernel
  * counters (events, ticks, executed and skipped cycles, wheel
  * cascades) of 4-core memory-bound and compute-bound SPEC mixes under
- * the FCFS and VPC arbiters.  Doubles are compared through their
- * hex-float spelling, which is exact.
+ * the FCFS and VPC arbiters, plus the memory-bound mix under the VPC
+ * arbiter with each of the other two L2 capacity policies (global LRU
+ * and whole-cache occupancy), so every victim-selection rule is
+ * pinned system-wide.  Those two runs shrink the L2 to kSmallL2Bytes:
+ * at the baseline 16 MB no set fills within the measured window, so
+ * every policy would produce the default record and pin nothing.
+ * Doubles are compared through their hex-float spelling, which is
+ * exact.
  *
  * A change that is meant to move the model updates these constants
  * and says why; a performance change never does.  A failure prints
@@ -37,6 +43,8 @@ namespace
 
 constexpr Cycle kWarmup = 5'000;
 constexpr Cycle kMeasure = 15'000;
+/** 64 KB over 2 banks of 32 ways: 16 sets per bank, full in warmup. */
+constexpr std::uint64_t kSmallL2Bytes = 64 * 1024;
 
 const std::vector<std::string> kMemoryMix = {"mcf", "lucas", "equake",
                                              "swim"};
@@ -61,11 +69,21 @@ list(const std::vector<T> &v, F fmt)
     return out + "]";
 }
 
-/** @return the run's interval and kernel statistics, spelled exactly. */
+/**
+ * @return the run's interval and kernel statistics, spelled exactly.
+ * A @p capacity other than the baseline's Vpc also shrinks the L2 to
+ * kSmallL2Bytes so that the policy's victim rule decides evictions.
+ */
 std::string
-record(const std::vector<std::string> &mix, ArbiterPolicy policy)
+record(const std::vector<std::string> &mix, ArbiterPolicy policy,
+       CapacityPolicy capacity = CapacityPolicy::Vpc)
 {
     SystemConfig cfg = makeBaselineConfig(4, policy);
+    if (capacity != CapacityPolicy::Vpc) {
+        cfg.capacityPolicy = capacity;
+        cfg.l2.sizeBytes = kSmallL2Bytes;
+        cfg.validate();
+    }
     cfg.kernelFuse = true; // the hit lane is uncounted: events differ
     std::vector<std::unique_ptr<Workload>> wl;
     for (unsigned t = 0; t < mix.size(); ++t)
@@ -116,6 +134,31 @@ TEST(GoldenRecord, MemoryMixVpc)
               "0x1.2abc249747683p-1,0x1.0e33103f59f9cp-1 sgbStores=[243,"
               "351,92,117] sgbGathered=[205,267,55,61] events=20180 "
               "ticks=69164 executed=19943 skipped=57 cascades=1394");
+}
+
+TEST(GoldenRecord, MemoryMixVpcLruCapacity)
+{
+    EXPECT_EQ(record(kMemoryMix, ArbiterPolicy::Vpc, CapacityPolicy::Lru),
+              "cycles=15000 ipc=[0x1.1a36e2eb1c433p-3,0x1.52e0300f4aaf1p-2,"
+              "0x1.624dd2f1a9fbep-2,0x1.d7dbf487fcb92p-2] instrs=[2067,4964,"
+              "5190,6912] l2Reads=[431,398,528,494] l2Writes=[36,82,29,56] "
+              "l2Misses=[464,479,556,550] util=0x1.b2dbd194237fbp-1,"
+              "0x1.27bb2fec56d5dp-1,0x1.fc2d543db68b9p-2 sgbStores=[219,325,"
+              "85,115] sgbGathered=[185,243,52,59] events=19426 ticks=69112 "
+              "executed=19944 skipped=56 cascades=1439");
+}
+
+TEST(GoldenRecord, MemoryMixVpcGlobalOccupancy)
+{
+    EXPECT_EQ(record(kMemoryMix, ArbiterPolicy::Vpc,
+                     CapacityPolicy::GlobalOccupancy),
+              "cycles=15000 ipc=[0x1.1a36e2eb1c433p-3,0x1.564a0045e7b27p-2,"
+              "0x1.633103f59f9b8p-2,0x1.d30323e8842a1p-2] instrs=[2067,5014,"
+              "5203,6841] l2Reads=[429,402,534,487] l2Writes=[36,82,29,55] "
+              "l2Misses=[462,482,563,541] util=0x1.b3f3705def57dp-1,"
+              "0x1.28afdadce932fp-1,0x1.fe5c91d14e3bdp-2 sgbStores=[219,328,"
+              "85,114] sgbGathered=[185,246,52,59] events=19465 ticks=69233 "
+              "executed=19942 skipped=58 cascades=1424");
 }
 
 TEST(GoldenRecord, ComputeMixFcfs)
