@@ -3,18 +3,17 @@
 #include <bit>
 #include <limits>
 
-#include "cache/replacement.hh"
 #include "sim/logging.hh"
 
 namespace vpc
 {
 
 CacheArray::CacheArray(std::uint64_t sets, unsigned ways,
-                       unsigned line_bytes,
-                       std::unique_ptr<ReplacementPolicy> policy,
+                       unsigned line_bytes, CapacityPolicy policy,
+                       const std::vector<double> &betas,
                        unsigned index_shift)
     : sets_(sets), ways_(ways), lineBytes_(line_bytes),
-      indexShift_(index_shift), policy_(std::move(policy))
+      indexShift_(index_shift), policy_(policy)
 {
     if (!isPowerOf2(sets_) || !isPowerOf2(lineBytes_))
         vpc_fatal("cache geometry must use power-of-two sets ({}) and "
@@ -24,11 +23,20 @@ CacheArray::CacheArray(std::uint64_t sets, unsigned ways,
     if (ways_ > 64)
         vpc_fatal("cache associativity {} exceeds 64 (way state is "
                   "packed into one mask word per set)", ways_);
-    if (!policy_)
-        vpc_panic("CacheArray constructed without replacement policy");
     lineShift_ = log2i(lineBytes_);
     setShift_ = log2i(sets_);
-    kind_ = policy_->kind();
+    if (policy_ != CapacityPolicy::Lru) {
+        double sum = 0.0;
+        for (double beta : betas) {
+            if (beta < 0.0 || beta > 1.0)
+                vpc_fatal("capacity share {} out of [0,1]", beta);
+            sum += beta;
+            quota_.push_back(quotaFor(beta));
+        }
+        if (sum > 1.0 + 1e-9)
+            vpc_fatal("cache capacity over-allocated: sum(beta)={}",
+                      sum);
+    }
     // The tag and stamp planes carry kWidth64 - 1 words of tail
     // padding so the vectorized scans can load whole vectors from any
     // set base without overreading the allocation (vec.hh's "padded"
@@ -40,7 +48,21 @@ CacheArray::CacheArray(std::uint64_t sets, unsigned ways,
     dirtyMask_.assign(sets_, 0);
 }
 
-CacheArray::~CacheArray() = default;
+std::uint64_t
+CacheArray::quotaFor(double beta) const
+{
+    double units = policy_ == CapacityPolicy::GlobalOccupancy
+        ? static_cast<double>(sets_ * ways_) : ways_;
+    return static_cast<std::uint64_t>(beta * units + 1e-9);
+}
+
+void
+CacheArray::setShare(ThreadId t, double beta)
+{
+    if (policy_ == CapacityPolicy::Lru)
+        vpc_panic("capacity share update on an unpartitioned LRU array");
+    quota_.at(t) = quotaFor(beta);
+}
 
 void
 CacheArray::ensureMaskThread(ThreadId t)
@@ -75,8 +97,8 @@ bool
 CacheArray::faultFlipOwner(ThreadId to)
 {
     // Reassigns the real ownership state — owners_ *and* the way
-    // masks, so the devirtualized victim path keeps agreeing with the
-    // oracle's view of the lines — while leaving the occTracked_
+    // masks, so victim selection keeps agreeing with setLines()'s
+    // view of the lines — while leaving the occTracked_
     // counters stale.  That is the injected inconsistency the
     // CapacityAuditor must catch.
     for (std::uint64_t s = 0; s < sets_; ++s) {
@@ -120,75 +142,70 @@ unsigned
 CacheArray::minStampWay(std::uint64_t s, std::uint64_t mask) const
 {
     // vec::minIndex64 resolves stamp ties to the lowest way,
-    // reproducing the oracle's ascending-scan first-lowest-way
-    // tie-break exactly.
+    // reproducing an ascending scan's first-lowest-way tie-break
+    // exactly.
     return vec::minIndex64(&stamps_[s * ways_], mask, ways_);
 }
 
 unsigned
-CacheArray::chooseVictim(std::uint64_t s, ThreadId requester)
+CacheArray::chooseVictim(std::uint64_t s, ThreadId requester) const
 {
     const std::uint64_t full = fullMask();
     const std::uint64_t vm = validMask_[s];
-    if (vm != full) {
-        // First invalid way, as every policy's firstInvalid() scan.
-        return ctz64(~vm & full);
-    }
+    if (vm != full)
+        return ctz64(~vm & full); // first invalid way
 
-    switch (kind_) {
-      case PolicyKind::Lru:
-        return minStampWay(s, full);
+    // Only threads with both a quota and an ownership mask can be
+    // over quota.
+    const ThreadId n = maskThreads_ < quota_.size()
+        ? maskThreads_ : static_cast<ThreadId>(quota_.size());
+    std::uint64_t elig = 0;
+    switch (policy_) {
+      case CapacityPolicy::Lru:
+        break;
 
-      case PolicyKind::Vpc: {
-        const auto &mgr =
-            static_cast<const VpcCapacityManager &>(*policy_);
-        std::span<const unsigned> quotas = mgr.quotaTable();
+      case CapacityPolicy::Vpc: {
         // Condition 1 (Section 4.2): LRU line among threads holding
-        // more than their way allocation of this set.  Occupancy is
-        // the popcount of the incrementally maintained ownership
-        // mask — no recount.
-        ThreadId n = maskThreads_ < quotas.size()
-            ? maskThreads_ : static_cast<ThreadId>(quotas.size());
-        std::uint64_t elig = 0;
+        // more than their way allocation of this set.  Taking the
+        // globally LRU line across all over-quota threads is the
+        // fairness refinement that distributes excess ways toward
+        // recent reuse.  Occupancy is the popcount of the
+        // incrementally maintained ownership mask — no recount.
         for (ThreadId j = 0; j < n; ++j) {
             std::uint64_t om = ownerWays_[j * sets_ + s];
-            if (static_cast<unsigned>(std::popcount(om)) > quotas[j])
+            if (static_cast<std::uint64_t>(std::popcount(om)) >
+                quota_[j])
                 elig |= om;
         }
         if (elig != 0)
             return minStampWay(s, elig);
-        // Condition 2: the requester's own LRU line.  A thread with
-        // no ownership mask has never inserted a line, so the oracle's
-        // requester-owned scan is empty too.
+        // Condition 2: every owner is at or under its quota; take the
+        // requester's own LRU line -- the line a private cache with
+        // beta_i of the ways would replace.
         std::uint64_t own = ownerMask(requester, s);
         if (own != 0)
             return minStampWay(s, own);
+        // Nobody is over quota and the requester owns no line here
+        // (the other threads' quotas cover the set, or lines belong
+        // to threads without a quota): fall back to global LRU.
         vpc_warn("VPC capacity manager: falling back to global LRU");
-        return minStampWay(s, full);
+        break;
       }
 
-      case PolicyKind::GlobalOccupancy: {
-        const auto &mgr =
-            static_cast<const GlobalOccupancyManager &>(*policy_);
-        std::span<const std::uint64_t> quotas = mgr.quotaTable();
-        std::span<const std::uint64_t> occ = mgr.occTable();
-        ThreadId n = maskThreads_ < quotas.size()
-            ? maskThreads_ : static_cast<ThreadId>(quotas.size());
-        std::uint64_t elig = 0;
+      case CapacityPolicy::GlobalOccupancy:
+        // The set-LRU line among threads over their *whole-array*
+        // quota, else plain LRU.  There is no per-set protection: a
+        // thread within its global quota can still lose every way of
+        // this set (the Section 4.3 monotonicity hole).
         for (ThreadId j = 0; j < n; ++j) {
-            if (occ[j] > quotas[j])
+            if (trackedOccupancy(j) > quota_[j])
                 elig |= ownerWays_[j * sets_ + s];
         }
         if (elig != 0)
             return minStampWay(s, elig);
-        return minStampWay(s, full);
-      }
-
-      case PolicyKind::Other:
         break;
     }
-    // Unknown policy: the virtual interface is the implementation.
-    return policy_->victim(setLines(s), requester);
+    return minStampWay(s, full);
 }
 
 Eviction
@@ -203,7 +220,7 @@ CacheArray::insert(Addr addr, ThreadId t, bool dirty)
         forcedVictim = kNoForcedVictim;
     }
     if (w >= ways_)
-        vpc_panic("replacement policy returned way {} of {}", w, ways_);
+        vpc_panic("victim way {} out of {} ways", w, ways_);
     if (victimAudit)
         victimAudit(setLines(s), t, w);
 
@@ -223,7 +240,6 @@ CacheArray::insert(Addr addr, ThreadId t, bool dirty)
                         << indexShift_) | low) * lineBytes_;
         if (ev.owner < maskThreads_)
             ownerWays_[ev.owner * sets_ + s] &= ~bit;
-        policy_->onEvict(ev.owner);
         bumpOcc(ev.owner, -1);
     }
     tags_[li] = tagOf(addr);
@@ -238,19 +254,15 @@ CacheArray::insert(Addr addr, ThreadId t, bool dirty)
         ensureMaskThread(t);
         ownerWays_[t * sets_ + s] |= bit;
     }
-    policy_->onInsert(t);
     bumpOcc(t, +1);
     return ev;
 }
 
 bool
-CacheArray::markDirty(Addr addr, ThreadId t)
+CacheArray::markDirty(Addr addr)
 {
-    (void)t;
     std::uint64_t s = setIndex(addr);
-    Addr tag = tagOf(addr);
-    std::uint64_t eq = vec::eqMask64(&tags_[s * ways_], ways_, tag) &
-                       validMask_[s];
+    std::uint64_t eq = matchWays(s, addr);
     if (eq != 0) {
         unsigned w = ctz64(eq);
         dirtyMask_[s] |= std::uint64_t{1} << w;
@@ -264,9 +276,7 @@ void
 CacheArray::invalidate(Addr addr)
 {
     std::uint64_t s = setIndex(addr);
-    Addr tag = tagOf(addr);
-    std::uint64_t eq = vec::eqMask64(&tags_[s * ways_], ways_, tag) &
-                       validMask_[s];
+    std::uint64_t eq = matchWays(s, addr);
     if (eq != 0) {
         unsigned w = ctz64(eq);
         std::uint64_t bit = std::uint64_t{1} << w;
@@ -275,7 +285,6 @@ CacheArray::invalidate(Addr addr)
         ThreadId owner = owners_[s * ways_ + w];
         if (owner < maskThreads_)
             ownerWays_[owner * sets_ + s] &= ~bit;
-        policy_->onEvict(owner);
         bumpOcc(owner, -1);
     }
 }

@@ -3,20 +3,23 @@
  * Set-associative tag/state storage shared by the L1 and L2 models.
  *
  * CacheArray tracks tags, validity, dirtiness, per-line owning thread
- * and LRU ordering; a ReplacementPolicy chooses victims.  Timing is
- * modeled elsewhere (SharedResource / L1 latency) -- this class is the
- * functional state only.
+ * and LRU ordering, and chooses victims under one of the L2 capacity
+ * policies (sim/config.hh CapacityPolicy): unpartitioned global LRU,
+ * the VPC Capacity Manager's per-set way quotas (Section 4.2), or the
+ * flexible whole-cache occupancy quotas Section 4.3 contrasts it
+ * with.  Timing is modeled elsewhere (SharedResource / L1 latency) --
+ * this class is the functional state only.
  *
  * Storage is structure-of-arrays (DESIGN.md 5e): contiguous per-line
  * tag and LRU-stamp words plus per-set packed valid/dirty bitmask
  * words and per-(thread, set) ownership way masks, so lookup() is a
  * stride-1 tag scan and victim selection is bitmask arithmetic over
  * incrementally maintained occupancy state — no per-fill recount and
- * no virtual call on the fill path.  The virtual ReplacementPolicy
- * interface is retained as the debug/verify oracle: the fill path
- * dispatches on PolicyKind instead, and the differential test
- * (tests/cache/soa_oracle_test.cc) proves both agree on every
- * replacement decision.
+ * no virtual call on the fill path.  The per-thread quotas sit next to
+ * the ownership masks they are compared against.  The plain
+ * array-of-structs reference model in tests/cache/ref_victim.hh is
+ * the specification: tests/cache/soa_oracle_test.cc proves both agree
+ * on every replacement decision.
  */
 
 #ifndef VPC_CACHE_CACHE_ARRAY_HH
@@ -24,10 +27,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
+#include "sim/config.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "sim/vec.hh"
@@ -36,8 +39,8 @@ namespace vpc
 {
 
 /**
- * One cache line's bookkeeping state, as seen by the replacement
- * oracle and the verify layer.  The array itself no longer stores
+ * One cache line's bookkeeping state, as seen by the verify layer and
+ * the test reference model.  The array itself no longer stores
  * lines in this shape; setLines() materializes them on demand.
  */
 struct CacheLine
@@ -49,22 +52,6 @@ struct CacheLine
     std::uint64_t lastUse = 0; //!< LRU timestamp (higher = more recent)
 };
 
-class ReplacementPolicy;
-
-/**
- * Dispatch tag for the devirtualized fill path.  CacheArray::insert
- * switches on the installed policy's kind instead of making a virtual
- * victim() call; Other falls back to the virtual oracle (custom test
- * policies).
- */
-enum class PolicyKind
-{
-    Other,
-    Lru,
-    Vpc,
-    GlobalOccupancy,
-};
-
 /** Result of an insert: what was evicted, if anything. */
 struct Eviction
 {
@@ -74,7 +61,10 @@ struct Eviction
     ThreadId owner = kInvalidThread;
 };
 
-/** Functional set-associative array with pluggable replacement. */
+/**
+ * Functional set-associative array; victims follow one of the
+ * CapacityPolicy rules.
+ */
 class CacheArray
 {
   public:
@@ -82,7 +72,12 @@ class CacheArray
      * @param sets number of sets (power of two)
      * @param ways associativity (at most 64: way masks are one word)
      * @param line_bytes line size (power of two)
-     * @param policy victim selection; takes ownership
+     * @param policy victim-selection rule
+     * @param betas capacity share per thread (each in [0,1], sum at
+     *        most 1); ignored under CapacityPolicy::Lru.  Thread j's
+     *        quota is floor(beta_j * ways) ways of every set under
+     *        Vpc and floor(beta_j * sets * ways) lines of the whole
+     *        array under GlobalOccupancy.
      * @param index_shift line-number bits to discard before set
      *        indexing: a bank of a 2^n-way interleaved cache only
      *        sees every 2^n-th line, so those bits are constant and
@@ -90,10 +85,9 @@ class CacheArray
      *        1/2^n of the sets unused)
      */
     CacheArray(std::uint64_t sets, unsigned ways, unsigned line_bytes,
-               std::unique_ptr<ReplacementPolicy> policy,
+               CapacityPolicy policy = CapacityPolicy::Lru,
+               const std::vector<double> &betas = {},
                unsigned index_shift = 0);
-
-    ~CacheArray();
 
     CacheArray(const CacheArray &) = delete;
     CacheArray &operator=(const CacheArray &) = delete;
@@ -101,36 +95,31 @@ class CacheArray
     CacheArray &operator=(CacheArray &&) = default;
 
     /**
-     * Probe for @p addr.
+     * Probe for @p addr and, on a hit, make the line MRU.  Counts the
+     * access as a hit or a miss.
      *
      * @param addr byte address
-     * @param touch update LRU state on hit
-     * @param t thread performing the access (LRU bookkeeping)
      * @return true on hit
      */
     bool
-    lookup(Addr addr, bool touch, ThreadId t)
+    lookup(Addr addr)
     {
-        (void)t;
         std::uint64_t s = setIndex(addr);
-        Addr tag = tagOf(addr);
-        // Way-parallel tag compare gated by the set's valid mask (the
-        // tag plane is padded so whole-vector loads never overread).
-        // At most one valid way can match, so the lowest set bit is
-        // the scalar scan's first hit.
-        std::uint64_t eq =
-            vec::eqMask64(&tags_[s * ways_], ways_, tag) &
-            validMask_[s];
+        std::uint64_t eq = matchWays(s, addr);
         if (eq != 0) {
-            if (touch) {
-                stamps_[s * ways_ + ctz64(eq)] = ++useClock;
-                hits.inc();
-            }
+            stamps_[s * ways_ + ctz64(eq)] = ++useClock;
+            hits.inc();
             return true;
         }
-        if (touch)
-            misses.inc();
+        misses.inc();
         return false;
+    }
+
+    /** @return true if @p addr is resident; no LRU or stats effect. */
+    bool
+    contains(Addr addr) const
+    {
+        return matchWays(setIndex(addr), addr) != 0;
     }
 
     /**
@@ -152,8 +141,8 @@ class CacheArray
     }
 
     /**
-     * Install the line containing @p addr, selecting a victim via the
-     * replacement policy.
+     * Install the line containing @p addr, selecting a victim under
+     * the array's capacity policy.
      *
      * @param addr byte address
      * @param t owning thread
@@ -162,8 +151,11 @@ class CacheArray
      */
     Eviction insert(Addr addr, ThreadId t, bool dirty);
 
-    /** Mark the line holding @p addr dirty. @return false on miss. */
-    bool markDirty(Addr addr, ThreadId t);
+    /**
+     * Mark the line holding @p addr dirty and make it MRU.
+     * @return false on miss.
+     */
+    bool markDirty(Addr addr);
 
     /** Invalidate the line holding @p addr if present. */
     void invalidate(Addr addr);
@@ -187,7 +179,7 @@ class CacheArray
 
     /**
      * @return the lines of set @p index, materialized from the packed
-     * state (verify-layer inspection and the replacement oracle).
+     * state (verify-layer inspection and the test reference model).
      * The span aliases a scratch buffer: it is valid until the next
      * setLines() call or insert() on this array.
      */
@@ -198,8 +190,8 @@ class CacheArray
      * line is overwritten: (set lines, requesting thread, victim
      * way).  The VPC capacity auditor uses it to check conditions
      * 1 and 2 of Section 4.2 on each replacement decision, and the
-     * SoA differential test uses it to replay every decision through
-     * the virtual-policy oracle.
+     * SoA differential test uses it to compare every decision with
+     * the reference model's.
      */
     using VictimAudit =
         std::function<void(std::span<const CacheLine>, ThreadId,
@@ -215,7 +207,7 @@ class CacheArray
      * @p to without touching the tracked occupancy counters, breaking
      * capacity conservation on purpose.  faultForceNextVictim() makes
      * the next insert evict way @p way regardless of what the
-     * replacement policy says, violating the Section 4.2 victim
+     * capacity policy says, violating the Section 4.2 victim
      * conditions.  Both exist so the auditors can be proven live.
      */
     /// @{
@@ -232,9 +224,20 @@ class CacheArray
     /** @return line size in bytes. */
     unsigned lineBytes() const { return lineBytes_; }
 
-    /** @return the replacement policy (for share updates). */
-    ReplacementPolicy &policy() { return *policy_; }
-    const ReplacementPolicy &policy() const { return *policy_; }
+    /** @return the victim-selection rule. */
+    CapacityPolicy capacityPolicy() const { return policy_; }
+
+    /**
+     * @return thread @p t's quota: ways of each set under Vpc, lines
+     * of the whole array under GlobalOccupancy.  Lru keeps no quotas.
+     */
+    std::uint64_t quota(ThreadId t) const { return quota_.at(t); }
+
+    /**
+     * Set thread @p t's capacity share to @p beta and recompute its
+     * quota.  Only meaningful under a partitioned policy.
+     */
+    void setShare(ThreadId t, double beta);
 
     /** @return hits observed (touched lookups only). */
     std::uint64_t hitCount() const { return hits.value(); }
@@ -281,11 +284,28 @@ class CacheArray
     /** Grow the per-thread ownership mask plane to cover thread t. */
     void ensureMaskThread(ThreadId t);
 
+    /**
+     * @return the valid ways of set @p s whose tag matches @p addr.
+     * Way-parallel tag compare gated by the set's valid mask (the tag
+     * plane is padded so whole-vector loads never overread).  At most
+     * one valid way can match, so the lowest set bit is the scalar
+     * scan's first hit.
+     */
+    std::uint64_t
+    matchWays(std::uint64_t s, Addr addr) const
+    {
+        return vec::eqMask64(&tags_[s * ways_], ways_, tagOf(addr)) &
+               validMask_[s];
+    }
+
     /** Way with the smallest LRU stamp among @p mask; @p mask != 0. */
     unsigned minStampWay(std::uint64_t s, std::uint64_t mask) const;
 
-    /** Devirtualized victim choice; must match policy_->victim(). */
-    unsigned chooseVictim(std::uint64_t s, ThreadId requester);
+    /** @return the quota a share of @p beta buys under policy_. */
+    std::uint64_t quotaFor(double beta) const;
+
+    /** Victim way in set @p s for a fill by @p requester. */
+    unsigned chooseVictim(std::uint64_t s, ThreadId requester) const;
 
     void bumpOcc(ThreadId t, std::int64_t delta);
 
@@ -295,9 +315,9 @@ class CacheArray
     unsigned indexShift_;
     unsigned lineShift_ = 0; //!< log2(lineBytes_)
     unsigned setShift_ = 0;  //!< log2(sets_)
-    std::unique_ptr<ReplacementPolicy> policy_;
-    /** Devirtualized dispatch tag derived from the policy. */
-    PolicyKind kind_ = PolicyKind::Other;
+    CapacityPolicy policy_;
+    /** Per-thread quota (see quota()); empty under Lru. */
+    std::vector<std::uint64_t> quota_;
 
     //! @name Structure-of-arrays line state
     //! Per-line words, set-major: line (s, w) sits at s * ways_ + w.
@@ -314,9 +334,9 @@ class CacheArray
     /**
      * Ownership way masks, thread-major: bit w of
      * ownerWays_[t * sets_ + s] is set iff line (s, w) is valid and
-     * owned by t.  popcount is the set occupancy the VPC capacity
-     * manager recounted per fill in the AoS layout; condition 1's
-     * eligible set is the union of over-quota threads' masks.  The
+     * owned by t.  popcount is the thread's occupancy of the set;
+     * condition 1's eligible set is the union of over-quota threads'
+     * masks.  The
      * plane grows on demand as new thread ids insert.
      */
     std::vector<std::uint64_t> ownerWays_;

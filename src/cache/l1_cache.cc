@@ -1,6 +1,5 @@
 #include "cache/l1_cache.hh"
 
-#include "cache/replacement.hh"
 #include "sim/debug.hh"
 #include "sim/logging.hh"
 
@@ -11,7 +10,7 @@ L1DCache::L1DCache(const L1Config &cfg_, ThreadId thread_,
                    EventQueue &events_)
     : cfg(cfg_), thread(thread_), events(events_),
       tags(cfg_.sizeBytes / (cfg_.ways * cfg_.lineBytes), cfg_.ways,
-           cfg_.lineBytes, std::make_unique<LruReplacement>()),
+           cfg_.lineBytes),
       mshrs(cfg_.mshrs), prefetcher(cfg_.prefetch, cfg_.lineBytes)
 {}
 
@@ -114,9 +113,7 @@ L1DCache::mshrPending(Addr addr) const
 bool
 L1DCache::wouldHit(Addr addr) const
 {
-    // lookup() without touch has no LRU or statistics side effects,
-    // but needs a non-const array reference; keep the cast local.
-    return const_cast<CacheArray &>(tags).lookup(addr, false, thread);
+    return tags.contains(addr);
 }
 
 void
@@ -126,7 +123,7 @@ L1DCache::store(Addr addr, Cycle now)
     // Write-through, no-write-allocate: update the copy if present so
     // later loads hit current data; never allocate on a store miss.
     // The L1 is never dirty, so it produces no writebacks.
-    tags.markDirty(addr, thread); // refreshes LRU; dirtiness is unused
+    tags.markDirty(addr); // refreshes LRU; dirtiness is unused
 }
 
 void

@@ -77,7 +77,7 @@ class L1DCache
      */
     /// @{
     /** Touching probe: @return hit, with load()'s lookup side effects. */
-    bool probeTouch(Addr addr) { return tags.lookup(addr, true, thread); }
+    bool probeTouch(Addr addr) { return tags.lookup(addr); }
 
     /** Count a hit whose completion the caller delivers (fused lane). */
     void completeHit() { hits.inc(); }

@@ -5,11 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <utility>
 
 #include "cache/cache_array.hh"
-#include "cache/replacement.hh"
 
 namespace vpc
 {
@@ -19,16 +17,15 @@ namespace
 CacheArray
 makeArray(std::uint64_t sets = 4, unsigned ways = 2)
 {
-    return CacheArray(sets, ways, 64,
-                      std::make_unique<LruReplacement>());
+    return CacheArray(sets, ways, 64);
 }
 
 TEST(CacheArray, MissThenHit)
 {
     CacheArray a = makeArray();
-    EXPECT_FALSE(a.lookup(0x1000, true, 0));
+    EXPECT_FALSE(a.lookup(0x1000));
     a.insert(0x1000, 0, false);
-    EXPECT_TRUE(a.lookup(0x1000, true, 0));
+    EXPECT_TRUE(a.lookup(0x1000));
     EXPECT_EQ(a.hitCount(), 1u);
     EXPECT_EQ(a.missCount(), 1u);
 }
@@ -37,8 +34,8 @@ TEST(CacheArray, SubLineAddressesHitSameLine)
 {
     CacheArray a = makeArray();
     a.insert(0x1000, 0, false);
-    EXPECT_TRUE(a.lookup(0x103F, true, 0));
-    EXPECT_FALSE(a.lookup(0x1040, true, 0));
+    EXPECT_TRUE(a.lookup(0x103F));
+    EXPECT_FALSE(a.lookup(0x1040));
 }
 
 TEST(CacheArray, LruEvictionOrder)
@@ -46,12 +43,12 @@ TEST(CacheArray, LruEvictionOrder)
     CacheArray a = makeArray(1, 2); // one set, two ways
     a.insert(0x0, 0, false);
     a.insert(0x40, 0, false);
-    a.lookup(0x0, true, 0); // make 0x0 MRU
+    a.lookup(0x0); // make 0x0 MRU
     Eviction ev = a.insert(0x80, 0, false);
     EXPECT_TRUE(ev.valid);
     EXPECT_EQ(ev.lineAddr, 0x40u);
-    EXPECT_TRUE(a.lookup(0x0, false, 0));
-    EXPECT_FALSE(a.lookup(0x40, false, 0));
+    EXPECT_TRUE(a.contains(0x0));
+    EXPECT_FALSE(a.contains(0x40));
 }
 
 TEST(CacheArray, EvictionReportsDirtyAndOwner)
@@ -79,8 +76,8 @@ TEST(CacheArray, MarkDirty)
 {
     CacheArray a = makeArray();
     a.insert(0x1000, 0, false);
-    EXPECT_TRUE(a.markDirty(0x1000, 0));
-    EXPECT_FALSE(a.markDirty(0x2000, 0));
+    EXPECT_TRUE(a.markDirty(0x1000));
+    EXPECT_FALSE(a.markDirty(0x2000));
     Eviction ev = a.insert(0x1000 + 64 * 4 * 1, 0, false);
     (void)ev;
 }
@@ -90,7 +87,7 @@ TEST(CacheArray, Invalidate)
     CacheArray a = makeArray();
     a.insert(0x1000, 0, false);
     a.invalidate(0x1000);
-    EXPECT_FALSE(a.lookup(0x1000, false, 0));
+    EXPECT_FALSE(a.contains(0x1000));
 }
 
 TEST(CacheArray, OccupancyPerThread)
@@ -108,7 +105,7 @@ TEST(CacheArray, OccupancyPerThread)
 TEST(CacheArray, UntouchedLookupDoesNotCountStats)
 {
     CacheArray a = makeArray();
-    a.lookup(0x1000, false, 0);
+    EXPECT_FALSE(a.contains(0x1000));
     EXPECT_EQ(a.missCount(), 0u);
 }
 
@@ -117,7 +114,7 @@ TEST(CacheArray, IndexShiftSkipsInterleaveBits)
     // A bank of a 2-way interleaved cache sees only even line
     // numbers; with index_shift=1 the constant bit is discarded so
     // every set is usable.
-    CacheArray a(4, 1, 64, std::make_unique<LruReplacement>(), 1);
+    CacheArray a(4, 1, 64, CapacityPolicy::Lru, {}, 1);
     // Lines 0 and 8 (addresses 0x0, 0x200): (0>>1)%4 == (8>>1)%4 == 0.
     a.insert(0x0, 0, false);
     Eviction ev = a.insert(0x200, 0, false);
@@ -125,8 +122,8 @@ TEST(CacheArray, IndexShiftSkipsInterleaveBits)
     EXPECT_EQ(ev.lineAddr, 0x0u);
     // Line 4 (address 0x100): (4>>1)%4 == 2 -- a different set.
     a.insert(0x100, 0, false);
-    EXPECT_TRUE(a.lookup(0x200, false, 0));
-    EXPECT_TRUE(a.lookup(0x100, false, 0));
+    EXPECT_TRUE(a.contains(0x200));
+    EXPECT_TRUE(a.contains(0x100));
 }
 
 TEST(CacheArray, BankStrideFillsEverySet)
@@ -134,18 +131,18 @@ TEST(CacheArray, BankStrideFillsEverySet)
     // Regression: without the shift, a bank fed every 2nd line left
     // half its sets permanently empty (halving effective capacity).
     const std::uint64_t sets = 8;
-    CacheArray a(sets, 1, 64, std::make_unique<LruReplacement>(), 1);
+    CacheArray a(sets, 1, 64, CapacityPolicy::Lru, {}, 1);
     for (std::uint64_t i = 0; i < sets; ++i) {
         Eviction ev = a.insert(2 * 64 * i, 0, false); // even lines
         EXPECT_FALSE(ev.valid) << "line " << i;
     }
     for (std::uint64_t i = 0; i < sets; ++i)
-        EXPECT_TRUE(a.lookup(2 * 64 * i, false, 0));
+        EXPECT_TRUE(a.contains(2 * 64 * i));
 }
 
 TEST(CacheArray, EvictionAddressRoundTripsWithShift)
 {
-    CacheArray a(4, 1, 64, std::make_unique<LruReplacement>(), 2);
+    CacheArray a(4, 1, 64, CapacityPolicy::Lru, {}, 2);
     // Bank 3 of a 4-way interleave: line numbers 3, 19 (same set).
     Addr first = 3 * 64;
     Addr second = (3 + 16) * 64;
@@ -164,17 +161,17 @@ TEST(CacheArray, BadGeometryIsFatal)
 TEST(CacheArray, MoveTransfersStateAndLeavesSourceDestructible)
 {
     // Copy is deleted and both move operations are defaulted; the
-    // moved-from array holds only empty vectors and a null policy, so
-    // destroying it (without further use) must be safe.
+    // moved-from array holds only empty vectors, so destroying it
+    // (without further use) must be safe.
     CacheArray a = makeArray(4, 2);
     a.insert(0x1000, 1, true);
     CacheArray b = std::move(a);
-    EXPECT_TRUE(b.lookup(0x1000, false, 1));
+    EXPECT_TRUE(b.contains(0x1000));
     EXPECT_EQ(b.trackedOccupancy(1), 1u);
 
     CacheArray c = makeArray(4, 2);
     c = std::move(b);
-    EXPECT_TRUE(c.lookup(0x1000, false, 1));
+    EXPECT_TRUE(c.contains(0x1000));
     // a and b go out of scope moved-from; the destructors must not
     // touch the transferred state.
 }

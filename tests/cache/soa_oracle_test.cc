@@ -3,22 +3,22 @@
  * Randomized-trace golden differential for the structure-of-arrays
  * CacheArray (DESIGN.md 5e).
  *
- * The SoA rebuild keeps the virtual ReplacementPolicy interface as an
- * oracle while the fill path dispatches on PolicyKind and computes
- * victims with bitmask arithmetic.  This test drives a CacheArray and
- * an array-of-structures reference model (which consults the virtual
- * policy for every victim) through the same randomized trace of
- * lookups, fills, dirty-marks and invalidations, asserting at every
- * step:
+ * CacheArray chooses victims with bitmask arithmetic over
+ * incrementally maintained ownership masks and counters.  This test
+ * drives it and an array-of-structures reference model (which picks
+ * every victim with the plain scans of ref_victim.hh) through the same
+ * randomized trace of lookups, fills, dirty-marks and invalidations,
+ * asserting at every step:
  *
- *  - identical victim ways (via the setVictimAudit tap, replayed
- *    through ReplacementPolicy::victim on the pre-overwrite lines);
+ *  - identical victim ways (via the setVictimAudit tap, whose
+ *    pre-overwrite lines are also replayed through the reference
+ *    rule with the array's own quotas and occupancy);
  *  - identical evictions (valid/dirty/address/owner);
  *  - identical per-thread occupancy.
  *
  * Covered policies: global LRU, the VPC capacity manager (including
- * the multi-over-quota fairness refinement), the flexible whole-cache
- * occupancy manager and a PolicyKind::Other fallback policy.
+ * the multi-over-quota fairness refinement) and the flexible
+ * whole-cache occupancy manager.
  *
  * Every differential runs twice — once with vec::forceScalar set (the
  * scalar reference bodies in sim/vec.hh) and once on the compiled
@@ -31,12 +31,11 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cache/cache_array.hh"
-#include "cache/replacement.hh"
+#include "cache/ref_victim.hh"
 #include "sim/random.hh"
 #include "sim/vec.hh"
 
@@ -46,37 +45,35 @@ namespace
 {
 
 /**
- * Array-of-structures reference cache: the pre-SoA CacheArray
- * semantics, with every victim chosen by the virtual policy oracle.
+ * Array-of-structures reference cache: plain per-line state, every
+ * victim chosen by ref::victim.
  */
 class RefArray
 {
   public:
     RefArray(std::uint64_t sets, unsigned ways, unsigned line_bytes,
-             std::unique_ptr<ReplacementPolicy> policy,
-             unsigned index_shift = 0)
+             CapacityPolicy policy, const std::vector<double> &betas,
+             unsigned index_shift)
         : sets_(sets), ways_(ways), lineBytes_(line_bytes),
-          indexShift_(index_shift), policy_(std::move(policy)),
+          indexShift_(index_shift), policy_(policy),
+          quota_(ref::quotas(betas,
+                             policy == CapacityPolicy::GlobalOccupancy
+                                 ? static_cast<double>(sets * ways)
+                                 : ways)),
           lines_(sets * ways)
     {
     }
 
     bool
-    lookup(Addr addr, bool touch, ThreadId t)
+    lookup(Addr addr)
     {
-        (void)t;
-        std::uint64_t s = setIndex(addr);
-        Addr tag = tagOf(addr);
-        for (unsigned w = 0; w < ways_; ++w) {
-            CacheLine &l = line(s, w);
-            if (l.valid && l.tag == tag) {
-                if (touch)
-                    l.lastUse = ++useClock_;
-                return true;
-            }
-        }
-        return false;
+        CacheLine *l = find(addr);
+        if (l)
+            l->lastUse = ++useClock_;
+        return l != nullptr;
     }
+
+    bool contains(Addr addr) { return find(addr) != nullptr; }
 
     /** Insert; @p victim_out receives the chosen way. */
     Eviction
@@ -84,7 +81,10 @@ class RefArray
     {
         std::uint64_t s = setIndex(addr);
         std::span<const CacheLine> set{&lines_[s * ways_], ways_};
-        unsigned w = policy_->victim(set, t);
+        ref::PerThread occ;
+        for (ThreadId j = 0; j < quota_.size(); ++j)
+            occ.push_back(occupancy(j));
+        unsigned w = ref::victim(policy_, set, t, quota_, occ);
         victim_out = w;
         CacheLine &l = line(s, w);
         Eviction ev;
@@ -96,47 +96,32 @@ class RefArray
                 & ((Addr{1} << indexShift_) - 1);
             ev.lineAddr = (((l.tag * sets_ + s) << indexShift_) | low)
                 * lineBytes_;
-            policy_->onEvict(l.owner);
         }
         l.tag = tagOf(addr);
         l.valid = true;
         l.dirty = dirty;
         l.owner = t;
         l.lastUse = ++useClock_;
-        policy_->onInsert(t);
         return ev;
     }
 
     bool
-    markDirty(Addr addr, ThreadId t)
+    markDirty(Addr addr)
     {
-        (void)t;
-        std::uint64_t s = setIndex(addr);
-        Addr tag = tagOf(addr);
-        for (unsigned w = 0; w < ways_; ++w) {
-            CacheLine &l = line(s, w);
-            if (l.valid && l.tag == tag) {
-                l.dirty = true;
-                l.lastUse = ++useClock_;
-                return true;
-            }
+        CacheLine *l = find(addr);
+        if (l) {
+            l->dirty = true;
+            l->lastUse = ++useClock_;
         }
-        return false;
+        return l != nullptr;
     }
 
     void
     invalidate(Addr addr)
     {
-        std::uint64_t s = setIndex(addr);
-        Addr tag = tagOf(addr);
-        for (unsigned w = 0; w < ways_; ++w) {
-            CacheLine &l = line(s, w);
-            if (l.valid && l.tag == tag) {
-                l.valid = false;
-                l.dirty = false;
-                policy_->onEvict(l.owner);
-                return;
-            }
+        if (CacheLine *l = find(addr)) {
+            l->valid = false;
+            l->dirty = false;
         }
     }
 
@@ -171,11 +156,26 @@ class RefArray
         return lines_[s * ways_ + w];
     }
 
+    /** @return the valid line holding @p addr, or nullptr. */
+    CacheLine *
+    find(Addr addr)
+    {
+        std::uint64_t s = setIndex(addr);
+        Addr tag = tagOf(addr);
+        for (unsigned w = 0; w < ways_; ++w) {
+            CacheLine &l = line(s, w);
+            if (l.valid && l.tag == tag)
+                return &l;
+        }
+        return nullptr;
+    }
+
     std::uint64_t sets_;
     unsigned ways_;
     unsigned lineBytes_;
     unsigned indexShift_;
-    std::unique_ptr<ReplacementPolicy> policy_;
+    CapacityPolicy policy_;
+    ref::PerThread quota_;
     std::vector<CacheLine> lines_;
     std::uint64_t useClock_ = 0;
 };
@@ -209,36 +209,47 @@ forEachVecMode(Body &&body)
     vec::forceScalar = false;
 }
 
-/** LRU behind PolicyKind::Other: the virtual-oracle fill path. */
-class OtherKindLru : public LruReplacement
-{
-  public:
-    PolicyKind kind() const override { return PolicyKind::Other; }
-    std::string name() const override { return "OtherLRU"; }
-};
-
 /**
- * Drive both arrays through @p steps random operations and compare
- * every replacement decision and the occupancy state after each one.
+ * Build a CacheArray and a RefArray of geometry @p g under
+ * @p policy, drive both through @p steps random operations by
+ * @p threads threads, and compare every replacement decision and the
+ * occupancy state after each one.
  */
 void
-runDifferential(CacheArray &soa, RefArray &ref, ThreadId threads,
-                const Geometry &g, std::uint64_t seed,
-                std::uint64_t steps)
+runDifferential(const Geometry &g, CapacityPolicy policy,
+                const std::vector<double> &betas, ThreadId threads,
+                std::uint64_t seed, std::uint64_t steps = 20'000)
 {
+    CacheArray soa(g.sets, g.ways, g.lineBytes, policy, betas,
+                   g.indexShift);
+    RefArray ref(g.sets, g.ways, g.lineBytes, policy, betas,
+                 g.indexShift);
+
     // Footprint ~4x the cache so sets run full and victims matter.
-    const Addr span = g.sets * g.ways * g.lineBytes * 4;
+    // An index-shifted array folds 2^indexShift lines onto one tag,
+    // so its footprint grows by that factor.
+    const Addr span = (g.sets * g.ways * g.lineBytes * 4)
+                      << g.indexShift;
 
     // The audit tap sees the SoA array's pre-overwrite lines and its
-    // chosen way; replaying the lines through the virtual oracle of
-    // the *same* array checks kind-dispatch vs virtual agreement on
-    // the identical input, independent of the reference model.
+    // chosen way; replaying the lines through the reference rule with
+    // the array's *own* quotas and tracked occupancy checks the mask
+    // arithmetic on the identical input, independent of the
+    // reference model's state.
+    ref::PerThread quota, occ;
+    if (policy != CapacityPolicy::Lru) {
+        for (ThreadId j = 0; j < betas.size(); ++j)
+            quota.push_back(soa.quota(j));
+    }
     unsigned soa_victim = 0;
     soa.setVictimAudit([&](std::span<const CacheLine> set, ThreadId t,
                            unsigned way) {
         soa_victim = way;
-        EXPECT_EQ(soa.policy().victim(set, t), way)
-            << "devirtualized victim diverges from oracle";
+        occ.clear();
+        for (ThreadId j = 0; j < quota.size(); ++j)
+            occ.push_back(soa.trackedOccupancy(j));
+        EXPECT_EQ(ref::victim(policy, set, t, quota, occ), way)
+            << "mask victim diverges from the reference rule";
     });
 
     Rng rng(seed);
@@ -251,8 +262,8 @@ runDifferential(CacheArray &soa, RefArray &ref, ThreadId threads,
         unsigned op = rng.below(10);
         if (op < 6) {
             // Access: fill on miss, like the cache models do.
-            bool hit_s = soa.lookup(addr, true, t);
-            bool hit_r = ref.lookup(addr, true, t);
+            bool hit_s = soa.lookup(addr);
+            bool hit_r = ref.lookup(addr);
             ASSERT_EQ(hit_s, hit_r) << "hit divergence at step " << i;
             if (!hit_s) {
                 bool dirty = rng.below(2) != 0;
@@ -267,15 +278,14 @@ runDifferential(CacheArray &soa, RefArray &ref, ThreadId threads,
                 ASSERT_EQ(es.owner, er.owner) << "step " << i;
             }
         } else if (op < 8) {
-            ASSERT_EQ(soa.markDirty(addr, t), ref.markDirty(addr, t))
+            ASSERT_EQ(soa.markDirty(addr), ref.markDirty(addr))
                 << "step " << i;
         } else if (op < 9) {
             soa.invalidate(addr);
             ref.invalidate(addr);
         } else {
             // Untouched probe (no LRU update on either side).
-            ASSERT_EQ(soa.lookup(addr, false, t),
-                      ref.lookup(addr, false, t))
+            ASSERT_EQ(soa.contains(addr), ref.contains(addr))
                 << "step " << i;
         }
         for (ThreadId j = 0; j < threads; ++j) {
@@ -287,18 +297,13 @@ runDifferential(CacheArray &soa, RefArray &ref, ThreadId threads,
                 << " at step " << i;
         }
     }
-    soa.setVictimAudit(nullptr);
 }
 
 TEST(SoaOracle, GlobalLru)
 {
     forEachVecMode([] {
-        Geometry g;
-        CacheArray soa(g.sets, g.ways, g.lineBytes,
-                       std::make_unique<LruReplacement>());
-        RefArray ref(g.sets, g.ways, g.lineBytes,
-                     std::make_unique<LruReplacement>());
-        runDifferential(soa, ref, 4, g, 0xA11CE, 20'000);
+        runDifferential(Geometry{}, CapacityPolicy::Lru, {}, 4,
+                        0xA11CE);
     });
 }
 
@@ -308,15 +313,8 @@ TEST(SoaOracle, VpcCapacityManager)
     // (always over any quota as soon as it owns a line), so both
     // victim conditions and the fallback paths are exercised.
     forEachVecMode([] {
-        Geometry g;
-        std::vector<double> betas = {0.5, 0.25, 0.25, 0.0};
-        CacheArray soa(
-            g.sets, g.ways, g.lineBytes,
-            std::make_unique<VpcCapacityManager>(betas, g.ways));
-        RefArray ref(
-            g.sets, g.ways, g.lineBytes,
-            std::make_unique<VpcCapacityManager>(betas, g.ways));
-        runDifferential(soa, ref, 4, g, 0xB0B, 20'000);
+        runDifferential(Geometry{}, CapacityPolicy::Vpc,
+                        {0.5, 0.25, 0.25, 0.0}, 4, 0xB0B);
     });
 }
 
@@ -328,45 +326,16 @@ TEST(SoaOracle, VpcFairnessRefinement)
     forEachVecMode([] {
         Geometry g;
         g.ways = 8;
-        std::vector<double> betas = {0.125, 0.125, 0.125, 0.125};
-        CacheArray soa(
-            g.sets, g.ways, g.lineBytes,
-            std::make_unique<VpcCapacityManager>(betas, g.ways));
-        RefArray ref(
-            g.sets, g.ways, g.lineBytes,
-            std::make_unique<VpcCapacityManager>(betas, g.ways));
-        runDifferential(soa, ref, 4, g, 0xFA12, 20'000);
+        runDifferential(g, CapacityPolicy::Vpc,
+                        {0.125, 0.125, 0.125, 0.125}, 4, 0xFA12);
     });
 }
 
 TEST(SoaOracle, GlobalOccupancyManager)
 {
     forEachVecMode([] {
-        Geometry g;
-        std::uint64_t total = g.sets * g.ways;
-        std::vector<double> betas = {0.5, 0.25, 0.125, 0.125};
-        CacheArray soa(
-            g.sets, g.ways, g.lineBytes,
-            std::make_unique<GlobalOccupancyManager>(betas, total));
-        RefArray ref(
-            g.sets, g.ways, g.lineBytes,
-            std::make_unique<GlobalOccupancyManager>(betas, total));
-        runDifferential(soa, ref, 4, g, 0xCAFE, 20'000);
-    });
-}
-
-TEST(SoaOracle, OtherKindVirtualFallback)
-{
-    // PolicyKind::Other routes every victim through the virtual
-    // oracle; the vectorized lookup/markDirty/invalidate scans still
-    // run, so this pins their agreement on the fallback fill path.
-    forEachVecMode([] {
-        Geometry g;
-        CacheArray soa(g.sets, g.ways, g.lineBytes,
-                       std::make_unique<OtherKindLru>());
-        RefArray ref(g.sets, g.ways, g.lineBytes,
-                     std::make_unique<OtherKindLru>());
-        runDifferential(soa, ref, 4, g, 0xD1CE, 20'000);
+        runDifferential(Geometry{}, CapacityPolicy::GlobalOccupancy,
+                        {0.5, 0.25, 0.125, 0.125}, 4, 0xCAFE);
     });
 }
 
@@ -377,16 +346,7 @@ TEST(SoaOracle, BankInterleavedIndexShift)
     forEachVecMode([] {
         Geometry g;
         g.indexShift = 2;
-        std::vector<double> betas = {0.5, 0.5};
-        CacheArray soa(
-            g.sets, g.ways, g.lineBytes,
-            std::make_unique<VpcCapacityManager>(betas, g.ways),
-            g.indexShift);
-        RefArray ref(
-            g.sets, g.ways, g.lineBytes,
-            std::make_unique<VpcCapacityManager>(betas, g.ways),
-            g.indexShift);
-        runDifferential(soa, ref, 2, g, 0x5EED, 20'000);
+        runDifferential(g, CapacityPolicy::Vpc, {0.5, 0.5}, 2, 0x5EED);
     });
 }
 
@@ -401,11 +361,7 @@ TEST(SoaOracle, OddWaysLru)
         forEachVecMode([ways] {
             Geometry g;
             g.ways = ways;
-            CacheArray soa(g.sets, g.ways, g.lineBytes,
-                           std::make_unique<LruReplacement>());
-            RefArray ref(g.sets, g.ways, g.lineBytes,
-                         std::make_unique<LruReplacement>());
-            runDifferential(soa, ref, 4, g, 0x0DD + ways, 20'000);
+            runDifferential(g, CapacityPolicy::Lru, {}, 4, 0x0DD + ways);
         });
     }
 }
@@ -420,14 +376,25 @@ TEST(SoaOracle, OddWaysVpcCapacity)
         forEachVecMode([ways] {
             Geometry g;
             g.ways = ways;
-            std::vector<double> betas = {0.34, 0.33, 0.33, 0.0};
-            CacheArray soa(
-                g.sets, g.ways, g.lineBytes,
-                std::make_unique<VpcCapacityManager>(betas, g.ways));
-            RefArray ref(
-                g.sets, g.ways, g.lineBytes,
-                std::make_unique<VpcCapacityManager>(betas, g.ways));
-            runDifferential(soa, ref, 4, g, 0x0DD1 + ways, 20'000);
+            runDifferential(g, CapacityPolicy::Vpc,
+                            {0.34, 0.33, 0.33, 0.0}, 4, 0x0DD1 + ways);
+        });
+    }
+}
+
+TEST(SoaOracle, OddWaysGlobalOccupancy)
+{
+    // Off-grid geometries under whole-cache occupancy quotas: the
+    // eligible mask is a union of whole owner masks, so minIndex64
+    // runs over arbitrary subsets here too.
+    for (unsigned ways : {3u, 5u, 6u}) {
+        SCOPED_TRACE("ways=" + std::to_string(ways));
+        forEachVecMode([ways] {
+            Geometry g;
+            g.ways = ways;
+            runDifferential(g, CapacityPolicy::GlobalOccupancy,
+                            {0.5, 0.25, 0.125, 0.125}, 4,
+                            0x0DD2 + ways);
         });
     }
 }

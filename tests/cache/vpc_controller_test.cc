@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "arbiter/vpc_arbiter.hh"
-#include "cache/replacement.hh"
 #include "cache/vpc_controller.hh"
 #include "sim/simulator.hh"
 
@@ -126,10 +125,38 @@ TEST_F(VpcControllerTest, CapacityShareReachesTheCapacityManager)
 {
     ASSERT_TRUE(ctrl->writeRegister(
         2, VpcConfigRegister::uniform(0.5, 0.5)));
-    auto *mgr = dynamic_cast<const VpcCapacityManager *>(
-        &l2->bank(0).array().policy());
-    ASSERT_NE(mgr, nullptr);
-    EXPECT_EQ(mgr->quota(2), 16u); // 0.5 * 32 ways
+    const CacheArray &array = l2->bank(0).array();
+    ASSERT_EQ(array.capacityPolicy(), CapacityPolicy::Vpc);
+    EXPECT_EQ(array.quota(2), 16u); // 0.5 * 32 ways
+}
+
+TEST(VpcControllerGlobalOccupancy, CapacityShareReachesEveryBank)
+{
+    // A share written through the controller must re-derive the
+    // whole-cache line quota of a GlobalOccupancy L2 too, not only
+    // the way quota of the VPC manager.
+    SystemConfig cfg;
+    cfg.numProcessors = 4;
+    cfg.arbiterPolicy = ArbiterPolicy::Vpc;
+    cfg.capacityPolicy = CapacityPolicy::GlobalOccupancy;
+    cfg.allowUnallocatedShares = true;
+    cfg.shares.assign(4, QosShare{0.0, 0.0});
+    cfg.validate();
+    Simulator sim;
+    MemoryController mc(cfg.mem, 4, 64, sim.events());
+    L2Cache l2(cfg, sim.events(), mc);
+    VpcController ctrl(l2, 4);
+
+    ASSERT_TRUE(ctrl.writeRegister(
+        2, VpcConfigRegister::uniform(0.5, 0.5)));
+    for (unsigned b = 0; b < l2.numBanks(); ++b) {
+        const CacheArray &array = l2.bank(b).array();
+        ASSERT_EQ(array.capacityPolicy(),
+                  CapacityPolicy::GlobalOccupancy);
+        EXPECT_EQ(array.quota(2),
+                  array.numSets() * array.numWays() / 2)
+            << "bank " << b;
+    }
 }
 
 } // namespace
